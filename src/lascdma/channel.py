@@ -9,6 +9,7 @@ All operations are stateless given (S, params); concurrent trial workers each
 own their RNG substream.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,18 @@ def snr_to_sigma(snr_db, amplitude=1.0):
     """Noise std for a given per-bit SNR in dB, under SNR = A^2 / sigma^2.
 
     With unit-norm sequences this makes the single-user error rate
-    Q(sqrt(SNR)).  snr_db = inf gives sigma = 0.
+    Q(sqrt(SNR)).  snr_db = inf, or any SNR whose power ratio exceeds the
+    float range, gives sigma = 0; an SNR whose noise level is not finite
+    (-inf, NaN or far below 0 dB) raises ValueError.
     """
     if not amplitude > 0:
         raise ValueError("amplitude must be positive")
-    return amplitude / 10.0 ** (snr_db / 20.0)
+    try:
+        sigma = amplitude / 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"snr_db = {snr_db} gives no finite noise level")
+    return sigma

@@ -71,10 +71,14 @@ def _parse_config_file(path):
 
 def _parse_int(key, s):
     try:
-        v = int(float(s)) if ("e" in s.lower() or "." in s) else int(s)
+        if "e" in s.lower() or "." in s:  # scientific notation, e.g. 1e6
+            v = float(s)
+            if not v.is_integer():
+                raise ValueError
+            return int(v)
+        return int(s)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {s!r}")
-    return v
 
 
 def _parse_l_value(s):
@@ -196,6 +200,27 @@ def _execute(config, sweep, bk_list, l_list, workers):
             rows.extend(res.rows)
             failures.extend((f"L={L},{lbl}", e) for lbl, e in res.failures)
     return rows, failures
+
+
+def _warn_nonconverged(rows, err):
+    """One line per point whose LAS runs hit max_passes unconverged."""
+    points = {}
+    for e in rows:
+        if e.seq_set == "avg":
+            continue  # pooled from the set rows
+        key = (e.experiment, e.M, e.L, e.snr_db)
+        tally = points.setdefault(key, {}).setdefault(e.detector, [0, 0])
+        tally[0] += e.nonconverged
+        tally[1] += e.bits // e.M
+    for (_, M, L, snr), tallies in points.items():
+        hit = [f"{det} {n} of {trials}"
+               for det, (n, trials) in tallies.items() if n]
+        if hit:
+            err.write(
+                f"warning: runs stopped at max_passes before a verified fixed "
+                f"point (M={M}, L={L}, snr={snr:g} dB): {', '.join(hit)}; "
+                f"their decisions are in the BER\n"
+            )
 
 
 def _print_audit(rows, out):
@@ -385,6 +410,7 @@ def main(argv=None):
         write_csv(rows, out_path)
         out.write(f"wrote {len(rows)} rows to {out_path}\n")
         _print_audit(rows, out)
+        _warn_nonconverged(rows, sys.stderr)
         if failures:
             for label, exc in failures:
                 sys.stderr.write(f"infeasible point {label}: {exc}\n")

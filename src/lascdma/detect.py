@@ -30,6 +30,13 @@ The bit-update schedules:
   custom      -- caller-provided index sets, then sequential to a verified
                  fixed point.
 
+One implementation runs them all: a row-batched kernel that advances K
+runs in lockstep, each row on its own (y, H, start vector), rows sharing an
+H gathering its flipped columns together.  las_lockstep runs SLAS/WSLAS
+rows (hybrid with n_prime all-bit steps, 0 for SLAS); las_run is the
+one-row case for every schedule, with the debug switches.  A row's result
+does not depend on the other rows of its batch.
+
 Bit vectors are int8 arrays over {-1,+1}.  Detector runs are single-threaded
 over immutable (y, H, A); many runs may share one crosscorrelation.
 """
@@ -125,158 +132,336 @@ def initial_gradient(bits, y, xcorr, amplitudes):
     return ay - xcorr.h_matvec(b)
 
 
-class _LasState:
-    """Mutable working state of one detector run."""
+_BLOCK = 32  # bits per violator-count block of the sequential phase
+_SLICE_ROWS = 2  # a source with at most this many flipping rows is sliced
 
-    def __init__(self, y, xcorr, amplitudes, b0, record_likelihood, record_flips,
-                 check_gradient):
-        self.M = xcorr.n_bits
-        y = np.asarray(y, dtype=np.float64)
+
+@dataclass
+class LockstepRuns:
+    """Per-row outcome of las_lockstep; row r is one detector run."""
+
+    bits: np.ndarray  # (K, M) int8
+    converged: np.ndarray  # (K,) bool
+    steps: np.ndarray  # (K,) int64, like the counters below
+    flips: np.ndarray
+    additions: np.ndarray
+    passes: np.ndarray
+
+
+class _Lockstep:
+    """Working state of K detector runs advanced together.
+
+    Row r runs on problem problem[r] = (y, its CrossCorr, start vector); rows
+    of one problem share its initial gradient.  Internally the rows are
+    sorted by CrossCorr object (internal row i is caller row order[i]), so
+    any ordered subset of rows splits into one run per CrossCorr, and a
+    flipped column is gathered from its own CrossCorr once for the whole
+    run; no H is copied.  Bits, gradients and negated H diagonals are
+    (K, Mp) arrays, Mp being M rounded up to whole blocks of _BLOCK bits;
+    the padding never violates.  The recording switches of las_run act per
+    flip event; only las_run sets them, with K = 1.
+    """
+
+    def __init__(self, y, xcorrs, amplitudes, b0, problem,
+                 record_likelihood=False, record_flips=False,
+                 check_gradient=False):
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        b0 = np.atleast_2d(np.asarray(b0))
         A = np.asarray(amplitudes, dtype=np.float64)
-        b0 = np.asarray(b0)
-        if y.shape != (self.M,) or A.shape != (self.M,) or b0.shape != (self.M,):
+        P, M = len(xcorrs), xcorrs[0].n_bits
+        if (y.shape != (P, M) or b0.shape != (P, M) or A.shape != (M,)
+                or any(xc.n_bits != M for xc in xcorrs)):
             raise ValueError("y, amplitudes and b0 must all have length M")
         if not np.all(np.abs(b0) == 1):
             raise ValueError("initial bits must be +/-1")
-        self.indptr = xcorr.indptr
-        self.indices = xcorr.indices
-        self.data = xcorr.h_data
-        self.t_seq = xcorr.diag
-        self.xcorr = xcorr
+        problem = np.asarray(problem, dtype=np.int64)
+        self.K = K = problem.size
+        self.M = M
+        self.nb = -(-M // _BLOCK)
+        self.Mp = Mp = self.nb * _BLOCK
         self.ay = A * y
-        self.b = b0.astype(np.float64)
-        self.g = self.ay - xcorr.h_matvec(self.b)
-        self.nnz = xcorr.nnz
-        self.steps = 0
-        self.flips = 0
-        self.additions = 0
-        self.passes = 0
-        self.overhead = self.nnz  # initial gradient work
+        self.xcorrs = xcorrs
+        b = b0.astype(np.float64)
+        g0 = np.stack([ay - xc.h_matvec(bp)
+                       for ay, xc, bp in zip(self.ay, xcorrs, b)])
+        b = b0.astype(np.int8)
+        # distinct CrossCorr objects are the gather sources
+        index = {}
+        src_of = np.array([index.setdefault(id(xc), len(index))
+                           for xc in xcorrs])
+        self.srcs = list({id(xc): xc for xc in xcorrs}.values())
+        self.order = np.argsort(src_of[problem], kind="stable")
+        self.problem = problem[self.order]
+        self.src = src_of[self.problem]
+        self.full = np.array([xc.nnz == M * M for xc in self.srcs])[self.src]
+        self.B = np.zeros((K, Mp), dtype=np.int8)
+        self.G = np.zeros((K, Mp))
+        self.NT = np.zeros((K, Mp))
+        self.B[:, :M] = b[self.problem]
+        self.G[:, :M] = g0[self.problem]
+        self.NT[:, :M] = -np.stack([xc.diag for xc in self.srcs])[self.src]
+        self.V = np.zeros((K, Mp), dtype=bool)  # b_k g_k < -H_kk
+        self.V3 = self.V.reshape(K, self.nb, _BLOCK)
+        self.cnt = np.zeros((K, self.nb), dtype=np.int64)  # violators per block
+        self.lanes = np.arange(_BLOCK)
+        self.block_ids = np.arange(self.nb)
+        self.steps = np.zeros(K, dtype=np.int64)
+        self.flips = np.zeros(K, dtype=np.int64)
+        self.additions = np.zeros(K, dtype=np.int64)
+        self.passes = np.zeros(K, dtype=np.int64)
         self.check_gradient = check_gradient
-        self.trace = [self.omega()] if record_likelihood else None
+        self.trace = [self.omega(0)] if record_likelihood else None
         self.flip_log = [] if record_flips else None
+        self.hooked = record_likelihood or record_flips or check_gradient
 
-    def omega(self):
-        return float(self.b @ self.ay - 0.5 * (self.b @ self.xcorr.h_matvec(self.b)))
+    def omega(self, row):
+        b = self.B[row, :self.M]
+        p = self.problem[row]
+        return float(b @ self.ay[p]
+                     - 0.5 * (b @ self.xcorrs[p].h_matvec(b)))
 
-    def _after_flips(self, flipped):
+    def _after_flips(self, row, flipped):
         if self.trace is not None:
-            self.trace.append(self.omega())
+            self.trace.append(self.omega(row))
         if self.flip_log is not None:
-            self.flip_log.append((self.steps, tuple(int(i) for i in flipped)))
+            self.flip_log.append((int(self.steps[row]),
+                                  tuple(int(i) for i in flipped)))
         if self.check_gradient:
-            direct = self.ay - self.xcorr.h_matvec(self.b)
-            err = float(np.max(np.abs(self.g - direct)))
+            p = self.problem[row]
+            b = self.B[row, :self.M]
+            direct = self.ay[p] - self.xcorrs[p].h_matvec(b)
+            err = float(np.max(np.abs(self.G[row, :self.M] - direct)))
             if err > 1e-9:
                 raise AssertionError(
                     f"incremental gradient drifted from recomputation by {err:.3e}"
                 )
 
-    def flip_single(self, k):
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        self.g[self.indices[lo:hi]] += (2.0 * self.b[k]) * self.data[lo:hi]
-        self.b[k] = -self.b[k]
-        self.flips += 1
-        self.additions += int(hi - lo)
+    def rows_in_caller_order(self, values):
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
 
-    def flip_set(self, fset):
-        # pre-flip bit values drive the gradient update
-        for i in fset:
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            self.g[self.indices[lo:hi]] += (2.0 * self.b[i]) * self.data[lo:hi]
-            self.additions += int(hi - lo)
-        self.b[fset] = -self.b[fset]
-        self.flips += int(len(fset))
+    def _by_source(self, rows):
+        """(CrossCorr, slice of rows) for each run of rows that share one;
+        rows is an ordered subset of the (source-sorted) rows."""
+        if len(self.srcs) == 1:
+            return [(self.srcs[0], slice(None))]
+        src = self.src[rows]
+        cuts = [0, *(np.flatnonzero(src[1:] != src[:-1]) + 1).tolist(),
+                src.size]
+        return [(self.srcs[src[a]], slice(a, z))
+                for a, z in zip(cuts[:-1], cuts[1:])]
 
-    def result(self, converged):
-        return DetectorRun(
-            bits=self.b.astype(np.int8),
-            converged=converged,
-            steps=self.steps,
-            flips=self.flips,
-            additions=self.additions,
-            passes=self.passes,
-            overhead_additions=self.overhead,
-            likelihood_trace=self.trace,
-            flip_log=self.flip_log,
-        )
-
-
-def _sequential_phase(st, max_cycles):
-    """Cyclic single-bit updates until a full zero-flip verification cycle.
-
-    Bits between the cursor and the next violating index cannot flip (their
-    gradient entries are unchanged since the last flip), so the scan jumps
-    directly to it while accounting for the skipped steps.  Returns True on
-    a verified fixed point within the cycle budget.
-    """
-    if max_cycles <= 0:
-        return False
-    M = st.M
-    base = st.steps
-    cap = max_cycles * M
-    used = 0
-    pos = 0
-    converged = False
-    viol = (st.b * st.g) < -st.t_seq
-    while True:
-        nz = np.flatnonzero(viol)
-        if nz.size == 0:
-            # needs M more clean steps: the zero-flip verification cycle
-            if used + M <= cap:
-                used += M
-                converged = True
+    def _columns(self, rows, ks):
+        """The H column ks[i] of row rows[i]'s CrossCorr, for every i, one
+        after the other: (column indices, values, entries per i)."""
+        lens = np.empty(rows.size, dtype=np.int64)
+        cols, vals = [], []
+        for xc, run in self._by_source(rows):
+            k = ks[run]
+            lo = xc.indptr[k]
+            n = xc.indptr[k + 1] - lo
+            lens[run] = n
+            if k.size <= _SLICE_ROWS:
+                for a, z in zip(lo.tolist(), (lo + n).tolist()):
+                    cols.append(xc.indices[a:z])
+                    vals.append(xc.h_data[a:z])
             else:
-                used = cap
-            break
-        j = np.searchsorted(nz, pos)
-        k = int(nz[j]) if j < nz.size else int(nz[0])
-        d = (k - pos) % M
-        if used + d + 1 > cap:
-            used = cap
-            break
-        used += d + 1
-        st.steps = base + used
-        st.flip_single(k)
-        touched = st.indices[st.indptr[k]:st.indptr[k + 1]]
-        viol[touched] = (st.b[touched] * st.g[touched]) < -st.t_seq[touched]
-        st._after_flips((k,))
-        pos = (k + 1) % M
-    st.steps = base + used
-    st.passes += -(-used // M)  # ceil
-    return converged
+                at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+                cols.append(xc.indices[at])
+                vals.append(xc.h_data[at])
+        return np.concatenate(cols), np.concatenate(vals), lens
+
+    def _mark_violators(self, rows):
+        self.V[rows] = self.B[rows] * self.G[rows] < self.NT[rows]
+        self.cnt[rows] = self.V3[rows].sum(axis=2)
+
+    def _next_violator(self, rows, pos):
+        """Each row's first violating bit at or cyclically after its cursor,
+        and whether it has one."""
+        w = pos // _BLOCK
+        seg = self.V3[rows, w] & (self.lanes >= (pos % _BLOCK)[:, None])
+        found = seg.any(axis=1)
+        k = w * _BLOCK + seg.argmax(axis=1)
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            rm = rows[miss]
+            # blocks after the cursor's first, the cursor's own block last
+            key = (self.block_ids - w[miss, None] - 1) % self.nb
+            key[self.cnt[rm] == 0] = self.nb
+            blk = key.argmin(axis=1)
+            found[miss] = key[np.arange(miss.size), blk] < self.nb
+            k[miss] = blk * _BLOCK + self.V3[rm, blk].argmax(axis=1)
+        return k, found
+
+    def _flip_each(self, rows, ks):
+        """Flip bit ks[i] of row rows[i]; rows are distinct."""
+        c = 2.0 * self.B[rows, ks]  # pre-flip values drive the update
+        self.B[rows, ks] = -self.B[rows, ks]
+        self.flips[rows] += 1
+        full = self.full[rows]
+        if full.any():
+            # full H rows are contiguous: update and rescan whole rows
+            fr, fk, fc = rows[full], ks[full], c[full]
+            for xc, run in self._by_source(fr):
+                H = xc.h_data.reshape(self.M, self.M)
+                self.G[fr[run], :self.M] += fc[run, None] * H[fk[run]]
+            self.additions[fr] += self.M
+            self._mark_violators(fr)
+        if not full.all():
+            sr, sk, sc = rows[~full], ks[~full], c[~full]
+            cols, vals, lens = self._columns(sr, sk)
+            self.additions[sr] += lens
+            at = np.repeat(sr * self.Mp, lens) + cols  # flat (row, column)
+            Gf = self.G.reshape(-1)
+            g = Gf[at] + np.repeat(sc, lens) * vals
+            Gf[at] = g
+            now = self.B.reshape(-1)[at] * g < self.NT.reshape(-1)[at]
+            Vf = self.V.reshape(-1)
+            ch = np.flatnonzero(now != Vf[at])
+            if ch.size:
+                Vf[at[ch]] = now[ch]
+                np.add.at(self.cnt.reshape(-1), at[ch] // _BLOCK,
+                          np.where(now[ch], 1, -1))
+        if self.hooked:
+            for r, k in zip(rows.tolist(), ks.tolist()):
+                self._after_flips(r, (k,))
+
+    def set_step(self, rows, members, thresholds):
+        """One update step of each row over the index set members (every
+        bit when None), with thresholds broadcast against (rows, members).
+        Flips use the pre-step bits and add into g in ascending position
+        within members.  Returns which rows flipped anything."""
+        if members is None:
+            hit = (self.B[rows, :self.M] * self.G[rows, :self.M]
+                   < -thresholds)
+        else:
+            hit = (self.B[rows][:, members] * self.G[rows][:, members]
+                   < -thresholds)
+        self.steps[rows] += 1
+        self.passes[rows] += 1
+        ri, ci = np.nonzero(hit)
+        if ri.size:
+            r = rows[ri]
+            k = ci if members is None else members[ci]
+            c = 2.0 * self.B[r, k]
+            cols, vals, lens = self._columns(r, k)
+            np.add.at(self.G.reshape(-1), np.repeat(r * self.Mp, lens) + cols,
+                      np.repeat(c, lens) * vals)
+            self.B[r, k] = -self.B[r, k]
+            np.add.at(self.additions, r, lens)
+            np.add.at(self.flips, r, 1)
+            if self.hooked:
+                for i in np.unique(ri):
+                    self._after_flips(rows[i], k[ri == i])
+        return hit.any(axis=1)
+
+    def sequential(self, rows, cycles):
+        """Cyclic one-bit steps (thresholds H_kk) for each row from bit 0
+        until a full clean cycle, within cycles[i] passes; returns the rows'
+        converged flags.
+
+        Bits between a row's cursor and its next violator cannot flip: their
+        gradient entries are unchanged since they were last examined.  So
+        every row jumps straight to its next violator, found through its
+        per-block violator counts, and is charged the skipped steps."""
+        M = self.M
+        converged = np.zeros(rows.size, dtype=bool)
+        live = np.flatnonzero(cycles > 0)
+        r = rows[live]
+        if not r.size:
+            return converged
+        cap = cycles[live] * M
+        base = self.steps[r]
+        used = np.zeros(r.size, dtype=np.int64)
+        pos = np.zeros(r.size, dtype=np.int64)
+        self._mark_violators(r)
+        act = np.arange(r.size)
+        while act.size:
+            k, found = self._next_violator(r[act], pos[act])
+            # a flip costs the skipped steps plus its own; a verification
+            # costs a full cycle
+            need = np.where(found, (k - pos[act]) % M + 1, M)
+            fits = used[act] + need <= cap[act]
+            used[act] = np.where(fits, used[act] + need, cap[act])
+            converged[live[act[fits & ~found]]] = True
+            go = fits & found
+            act, k = act[go], k[go]
+            if act.size:
+                self.steps[r[act]] = base[act] + used[act]
+                self._flip_each(r[act], k)
+                pos[act] = (k + 1) % M
+        self.steps[r] = base + used
+        self.passes[r] += -(-used // M)  # ceil
+        return converged
+
+    def abs_row_sums(self, rows):
+        return np.stack([self.srcs[s].abs_row_sums for s in self.src[rows]])
 
 
-def _run_set_step(st, members, thresholds):
-    """One step over an explicit index set; returns the flipped index array."""
-    bm = st.b[members]
-    gm = st.g[members]
-    fset = members[(bm * gm) < -thresholds]
-    st.steps += 1
-    st.passes += 1
-    if fset.size:
-        st.flip_set(fset)
-        st._after_flips(fset)
-    return fset
+def _ascend(st, rows, n_prime, max_passes):
+    """n_prime all-bit steps per row (thresholds sum_j |H_kj|; a row stops
+    early at a step that flips nothing), then the sequential phase on the
+    rest of the row's pass budget.  Returns the converged flags."""
+    left = np.minimum(n_prime, max_passes)
+    todo = rows[left > 0]
+    left = left[left > 0]
+    while todo.size:
+        moved = st.set_step(todo, None, st.abs_row_sums(todo))
+        left -= 1
+        keep = moved & (left > 0)
+        todo, left = todo[keep], left[keep]
+    return st.sequential(rows, max_passes - st.passes[rows])
 
 
-def _set_thresholds(st, members):
-    """t_k = sum_{j in set} |H_kj| for each k in the set (threshold work is
-    charged to overhead, not to the reported additions)."""
-    mask = np.zeros(st.M, dtype=bool)
+def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
+                 problem=None):
+    """Run K SLAS/WSLAS detectors in lockstep and return LockstepRuns.
+
+    Problem p is (y[p], xcorrs[p], b0[p]); rows sharing an H pass the same
+    CrossCorr object.  Row r runs on problem problem[r] (default: row p on
+    problem p): n_prime[r] all-bit steps (0 is SLAS), then the cyclic
+    sequential phase, within max_passes[r] passes.  n_prime and max_passes
+    broadcast over the rows.  Each row's result is exactly that of its own
+    one-row run (las_run), whatever the other rows are.
+    """
+    if problem is None:
+        problem = np.arange(len(xcorrs))
+    st = _Lockstep(y, xcorrs, amplitudes, b0, problem)
+    n_prime = np.broadcast_to(np.asarray(n_prime, dtype=np.int64), (st.K,))
+    max_passes = np.broadcast_to(np.asarray(max_passes, dtype=np.int64),
+                                 (st.K,))
+    if np.any(max_passes < 1):
+        raise ValueError("max_passes must be >= 1")
+    if np.any(n_prime < 0):
+        raise ValueError("n_prime must be >= 0")
+    rows = np.arange(st.K)
+    converged = _ascend(st, rows, n_prime[st.order], max_passes[st.order])
+    out = st.rows_in_caller_order
+    return LockstepRuns(bits=out(st.B[:, :st.M].astype(np.int8)),
+                        converged=out(converged), steps=out(st.steps),
+                        flips=out(st.flips), additions=out(st.additions),
+                        passes=out(st.passes))
+
+
+def _set_thresholds(xcorr, members):
+    """t_k = sum_{j in set} |H_kj| for each k in the set, and the work it
+    took (charged to overhead, not to the reported additions)."""
+    mask = np.zeros(xcorr.n_bits, dtype=bool)
     mask[members] = True
     out = np.empty(members.size)
+    work = 0
     for i, k in enumerate(members):
-        lo, hi = st.indptr[k], st.indptr[k + 1]
-        cols = st.indices[lo:hi]
-        out[i] = np.abs(st.data[lo:hi][mask[cols]]).sum()
-        st.overhead += int(hi - lo)
-    return out
+        lo, hi = xcorr.indptr[k], xcorr.indptr[k + 1]
+        out[i] = np.abs(xcorr.h_data[lo:hi][mask[xcorr.indices[lo:hi]]]).sum()
+        work += int(hi - lo)
+    return out, work
 
 
 def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
             record_likelihood=False, record_flips=False, check_gradient=False):
-    """Run a LAS detector to a fixed point.
+    """Run one LAS detector to a fixed point: the one-row case of the
+    lockstep machinery.
 
     max_passes bounds the total work in passes (a pass is one all-bit step or
     one full sequential cycle); ascent guarantees termination long before the
@@ -288,51 +473,52 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
     """
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
-    st = _LasState(y, xcorr, amplitudes, b0, record_likelihood, record_flips,
-                   check_gradient)
+    st = _Lockstep(np.asarray(y)[None], [xcorr], amplitudes,
+                   np.asarray(b0)[None], [0], record_likelihood,
+                   record_flips, check_gradient)
+    row = np.zeros(1, dtype=np.int64)
+    overhead = xcorr.nnz  # initial gradient work
 
-    def seq_budget():
-        return max_passes - st.passes
-
-    if schedule.kind == "sequential":
-        converged = _sequential_phase(st, max_passes)
-    elif schedule.kind == "hybrid":
-        all_bits = np.arange(st.M)
-        t_par = st.xcorr.abs_row_sums
-        st.overhead += st.nnz  # one pass of |H| row sums
-        for _ in range(min(schedule.parallel_steps, max_passes)):
-            fset = _run_set_step(st, all_bits, t_par)
-            if fset.size == 0:
-                break  # state stopped moving; hand over to the bit phase
-        converged = _sequential_phase(st, seq_budget())
+    if schedule.kind in ("sequential", "hybrid"):
+        if schedule.kind == "hybrid":
+            overhead += xcorr.nnz  # one pass of |H| row sums
+        converged = _ascend(st, row, np.array([schedule.parallel_steps]),
+                            np.array([max_passes]))[0]
     elif schedule.kind == "parallel":
-        all_bits = np.arange(st.M)
-        t_par = st.xcorr.abs_row_sums
-        st.overhead += st.nnz
+        overhead += xcorr.nnz
         converged = False
-        while st.passes < max_passes:
-            fset = _run_set_step(st, all_bits, t_par)
-            if fset.size != 0:
+        while st.passes[0] < max_passes:
+            if st.set_step(row, None, xcorr.abs_row_sums)[0]:
                 continue
             # empty all-bit step: verify with one sequential cycle, and
             # resume all-bit stepping if the stricter thresholds flipped
-            if seq_budget() <= 0:
+            if st.passes[0] >= max_passes:
                 break
-            if _sequential_phase(st, 1):
+            if st.sequential(row, np.ones(1, dtype=np.int64))[0]:
                 converged = True
                 break
     elif schedule.kind == "custom":
         for members in schedule.custom_sets:
-            if st.passes >= max_passes:
+            if st.passes[0] >= max_passes:
                 break
-            members = np.asarray(members, dtype=np.int64)
-            t_set = _set_thresholds(st, members)
-            _run_set_step(st, members, t_set)
-        converged = _sequential_phase(st, seq_budget())
+            t_set, work = _set_thresholds(xcorr, members)
+            overhead += work
+            st.set_step(row, members, t_set)
+        converged = st.sequential(row, max_passes - st.passes)[0]
     else:  # pragma: no cover - Schedule validates kind
         raise ValueError(schedule.kind)
 
-    return st.result(converged)
+    return DetectorRun(
+        bits=st.B[0, :st.M].astype(np.int8),
+        converged=bool(converged),
+        steps=int(st.steps[0]),
+        flips=int(st.flips[0]),
+        additions=int(st.additions[0]),
+        passes=int(st.passes[0]),
+        overhead_additions=overhead,
+        likelihood_trace=st.trace,
+        flip_log=st.flip_log,
+    )
 
 
 def slas_detect(y, xcorr, amplitudes, b0, max_passes=100, **kwargs):

@@ -24,10 +24,9 @@ import numpy as np
 from .channel import ChannelParams, matched_filter, snr_to_sigma, transmit
 from .detect import (
     gml_exhaustive,
+    las_lockstep,
     likelihood,
     mf_detect,
-    slas_detect,
-    wslas_detect,
     MAX_EXHAUSTIVE_BITS,
 )
 from .seqgen import crosscorrelation, gen_sparse_matrix
@@ -44,6 +43,9 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _INITIAL_PROBE_BITS = 16384
 _MAX_BATCH_TRIALS = 65536
+# array entries a lockstep group may hold: kernel rows x M, plus each
+# per-transmission H
+_LOCKSTEP_ENTRIES = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -153,8 +155,13 @@ class ExperimentConfig:
             raise ConfigError("trial policy would run no trials")
         if self.max_passes < 1:
             raise ConfigError("max_passes must be >= 1")
-        if not self.amplitude > 0:
-            raise ConfigError("amplitude must be > 0")
+        if self.n_prime < 0:
+            raise ConfigError("n_prime must be >= 0")
+        if not (self.amplitude > 0
+                and 0 < self.amplitude * self.amplitude < math.inf):
+            raise ConfigError(
+                "amplitude must be > 0 and finite, with a finite nonzero square"
+            )
         if self.seq_sets not in ("auto", "per_tx"):
             try:
                 n = int(self.seq_sets)
@@ -167,6 +174,10 @@ class ExperimentConfig:
         for s in self.snr_points():
             if math.isnan(s):
                 raise ConfigError("snr_db must not be NaN")
+            try:
+                snr_to_sigma(s, self.amplitude)
+            except ValueError as e:
+                raise ConfigError(str(e))
         dets = self.normalized_detectors()
         # feasibility of the point itself
         if self.C < 1:
@@ -188,9 +199,11 @@ class BerEstimate:
     """One estimate row: a (point, detector, sequence set) combination.
 
     seq_set is the set index, "avg" for the pooled row, or "per_tx" when a
-    fresh matrix is drawn each transmission.  gml_* audit fields are pooled
-    over the whole point and attached to the aggregate row of each ascent
-    detector when GML ran alongside it.
+    fresh matrix is drawn each transmission.  nonconverged counts the
+    detector runs that hit max_passes before a verified fixed point; their
+    decisions are in the estimate, and the count is not written to the CSV.
+    gml_* audit fields are pooled over the whole point and attached to the
+    aggregate row of each ascent detector when GML ran alongside it.
     """
 
     experiment: str
@@ -210,6 +223,7 @@ class BerEstimate:
     adds_per_bit: float
     passes_mean: float
     censored: bool
+    nonconverged: int = 0
     gml_match_rate: object = None
     gml_omega_violations: object = None
 
@@ -224,7 +238,7 @@ class SweepResult:
 
 @dataclass
 class _PointCtx:
-    """Everything a worker needs to run one trial of one point."""
+    """Everything a worker needs to run trials of one point."""
 
     experiment: str
     seed: int
@@ -271,7 +285,9 @@ def _set_matrix_rng(seed, M, C, L, set_idx):
     return np.random.default_rng(ss)
 
 
-def _run_trial(ctx, set_idx, trial_idx):
+def _draw(ctx, set_idx, trial_idx):
+    """One transmission from the trial's substream: (sent bits, matched-filter
+    output, CrossCorr)."""
     rng = _trial_rng(ctx, set_idx, trial_idx)
     if ctx.matrices is None:
         S = gen_sparse_matrix(ctx.C, ctx.M, ctx.L, rng)
@@ -280,41 +296,80 @@ def _run_trial(ctx, set_idx, trial_idx):
         S, xc = ctx.matrices[set_idx]
     b = (rng.integers(0, 2, ctx.M, dtype=np.int8) * 2 - 1).astype(np.int8)
     r = transmit(S, ctx.params, b, rng)
-    y = matched_filter(S, r)
-    b_mf = mf_detect(y)
+    return b, matched_filter(S, r), xc
 
-    counts = []
-    decided = {}
-    for det in ctx.detectors:
-        adds = passes = 0
-        if det == "MF":
-            dec = b_mf
-        elif det == "SLAS":
-            run = slas_detect(y, xc, ctx.amplitudes, b_mf,
-                              max_passes=ctx.max_passes)
-            dec, adds, passes = run.bits, run.additions, run.passes
-        elif det == "WSLAS":
-            run = wslas_detect(y, xc, ctx.amplitudes, b_mf,
-                               n_prime=ctx.n_prime, max_passes=ctx.max_passes)
-            dec, adds, passes = run.bits, run.additions, run.passes
-        else:  # GML
-            dec, _ = gml_exhaustive(y, xc, ctx.amplitudes)
-        decided[det] = dec
-        counts.append((int(np.count_nonzero(dec != b)), adds, passes))
 
-    audit = None
-    if ctx.audit_detectors:
-        gml_bits = decided["GML"]
-        om_gml = likelihood(gml_bits, y, xc, ctx.amplitudes)
-        tol = 1e-9 * (1.0 + abs(om_gml))
-        audit = tuple(
-            (
-                int(np.array_equal(decided[det], gml_bits)),
-                int(likelihood(decided[det], y, xc, ctx.amplitudes) > om_gml + tol),
-            )
-            for det in ctx.audit_detectors
+def _detect(ctx, drawn):
+    """Run every detector on drawn transmissions; the LAS detectors of all of
+    them run as rows of one lockstep kernel call.  Returns (counts, audit)
+    per transmission; counts holds (errors, additions, passes, unconverged)
+    per detector."""
+    las = [d for d in ctx.detectors if d in LML_DETECTORS]
+    b_mf = [mf_detect(y) for _, y, _ in drawn]
+    if las:
+        runs = las_lockstep(
+            np.stack([y for _, y, _ in drawn]), [xc for _, _, xc in drawn],
+            ctx.amplitudes, np.stack(b_mf),
+            n_prime=[0 if d == "SLAS" else ctx.n_prime for d in las] * len(drawn),
+            max_passes=ctx.max_passes,
+            problem=np.repeat(np.arange(len(drawn)), len(las)),
         )
-    return tuple(counts), audit
+    out = []
+    for i, (b, y, xc) in enumerate(drawn):
+        counts = []
+        decided = {}
+        for det in ctx.detectors:
+            adds = passes = unconverged = 0
+            if det == "MF":
+                dec = b_mf[i]
+            elif det in LML_DETECTORS:
+                r = i * len(las) + las.index(det)
+                dec = runs.bits[r]
+                adds, passes = int(runs.additions[r]), int(runs.passes[r])
+                unconverged = int(not runs.converged[r])
+            else:  # GML
+                dec, _ = gml_exhaustive(y, xc, ctx.amplitudes)
+            decided[det] = dec
+            counts.append((int(np.count_nonzero(dec != b)), adds, passes,
+                           unconverged))
+
+        audit = None
+        if ctx.audit_detectors:
+            gml_bits = decided["GML"]
+            om_gml = likelihood(gml_bits, y, xc, ctx.amplitudes)
+            tol = 1e-9 * (1.0 + abs(om_gml))
+            audit = tuple(
+                (
+                    int(np.array_equal(decided[det], gml_bits)),
+                    int(likelihood(decided[det], y, xc, ctx.amplitudes)
+                        > om_gml + tol),
+                )
+                for det in ctx.audit_detectors
+            )
+        out.append((tuple(counts), audit))
+    return out
+
+
+def _run_trials(ctx, items):
+    """Run the trials [(set index, trial index), ...] and return (counts,
+    audit) per trial, in order.
+
+    Transmissions are drawn one by one and detected in lockstep groups.  A
+    group closes once its kernel rows (and, per transmission, its own H)
+    hold _LOCKSTEP_ENTRIES array entries, which bounds memory.  A trial's
+    result does not depend on its group."""
+    n_las = sum(d in LML_DETECTORS for d in ctx.detectors)
+    out, group, held = [], [], 0
+    for set_idx, trial_idx in items:
+        drawn = _draw(ctx, set_idx, trial_idx)
+        group.append(drawn)
+        held += n_las * ctx.M + (drawn[2].nnz if ctx.matrices is None else 0)
+        if held >= _LOCKSTEP_ENTRIES:
+            out.extend(_detect(ctx, group))
+            group, held = [], 0
+    if group:
+        out.extend(_detect(ctx, group))
+    return out
 
 
 _WORKER_CTX = None
@@ -325,9 +380,8 @@ def _worker_init(ctx):
     _WORKER_CTX = ctx
 
 
-def _worker_trial(args):
-    set_idx, trial_idx = args
-    return _run_trial(_WORKER_CTX, set_idx, trial_idx)
+def _worker_trials(items):
+    return _run_trials(_WORKER_CTX, items)
 
 
 def _next_batch_trials(min_bit_errors, max_bits, bits_per_round, trials_done,
@@ -393,7 +447,7 @@ def _point_rows(config, ctx, n_sets, per_tx, acc, audit_acc, trials_done,
     for d_idx, det in enumerate(ctx.detectors):
         per_set = []
         for s in range(n_sets):
-            err, adds, passes = acc[s][d_idx]
+            err, adds, passes, unconverged = acc[s][d_idx]
             bits = trials_done * ctx.M
             lo, hi = wilson_interval(err, bits)
             per_set.append(
@@ -407,14 +461,14 @@ def _point_rows(config, ctx, n_sets, per_tx, acc, audit_acc, trials_done,
                     ci_low=lo, ci_high=hi,
                     adds_per_bit=adds / bits if bits else 0.0,
                     passes_mean=passes / trials_done if trials_done else 0.0,
-                    censored=censored,
+                    censored=censored, nonconverged=unconverged,
                 )
             )
         audit_row = per_set[0] if n_sets == 1 else None
         if n_sets > 1:
-            err = sum(acc[s][d_idx][0] for s in range(n_sets))
-            adds = sum(acc[s][d_idx][1] for s in range(n_sets))
-            passes = sum(acc[s][d_idx][2] for s in range(n_sets))
+            err, adds, passes, unconverged = (
+                sum(col) for col in zip(*(acc[s][d_idx] for s in range(n_sets)))
+            )
             bits = n_trials_total * ctx.M
             lo, hi = wilson_interval(err, bits)
             avg = BerEstimate(
@@ -426,7 +480,7 @@ def _point_rows(config, ctx, n_sets, per_tx, acc, audit_acc, trials_done,
                 ci_low=lo, ci_high=hi,
                 adds_per_bit=adds / bits if bits else 0.0,
                 passes_mean=passes / n_trials_total if n_trials_total else 0.0,
-                censored=censored,
+                censored=censored, nonconverged=unconverged,
             )
             per_set.append(avg)
             audit_row = avg
@@ -461,7 +515,7 @@ def _run_point(config, snr_db, workers, matrices):
     )
 
     n_det = len(detectors)
-    acc = [[(0, 0, 0) for _ in range(n_det)] for _ in range(n_sets)]
+    acc = [[(0, 0, 0, 0) for _ in range(n_det)] for _ in range(n_sets)]
     audit_acc = [(0, 0) for _ in audit_detectors]
     trials_done = 0
     bits_per_round = M * n_sets
@@ -471,9 +525,7 @@ def _run_point(config, snr_db, workers, matrices):
         for (set_idx, _), (counts, audit) in zip(batch_args, results):
             row = acc[set_idx]
             for d in range(n_det):
-                e, a, p = counts[d]
-                oe, oa, op = row[d]
-                row[d] = (oe + e, oa + a, op + p)
+                row[d] = tuple(x + y for x, y in zip(row[d], counts[d]))
             if audit is not None:
                 audit_acc = [
                     (m + am, v + av)
@@ -508,9 +560,13 @@ def _run_point(config, snr_db, workers, matrices):
             ]
             if pool is not None:
                 chunk = max(1, len(batch_args) // (workers * 4))
-                results = pool.map(_worker_trial, batch_args, chunksize=chunk)
+                parts = pool.map(_worker_trials, [
+                    batch_args[i:i + chunk]
+                    for i in range(0, len(batch_args), chunk)
+                ])
+                results = [res for part in parts for res in part]
             else:
-                results = [_run_trial(ctx, s, t) for s, t in batch_args]
+                results = _run_trials(ctx, batch_args)
             merge(batch_args, results)
             trials_done += n
             if config.min_bit_errors > 0:

@@ -149,11 +149,12 @@ class SequenceMatrix:
 class CrossCorr:
     """Crosscorrelation R = S^T S and its amplitude-weighted form H = A R A.
 
-    Both share one full symmetric CSR structure (per-row column/value lists):
-    `indptr`/`indices` with values `r_data` and `h_data`; `diag` holds the H
-    diagonal (A_k^2 for unit-norm columns).  Structural entries are exactly
-    the column pairs sharing chip support, including any whose value cancels
-    to 0.0.  Immutable once built; scipy views are materialized lazily.
+    Both share one full symmetric CSR structure (per-row column/value lists,
+    columns ascending within a row): `indptr`/`indices` with values `r_data`
+    and `h_data`; `diag` holds the H diagonal (A_k^2 for unit-norm
+    columns).  Structural entries are exactly the column pairs sharing chip
+    support, including any whose value cancels to 0.0.  Immutable once
+    built; scipy views are materialized lazily.
     """
 
     n_bits: int

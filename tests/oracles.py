@@ -5,6 +5,8 @@ every step, exhaustive enumeration.  None of it shares code with the
 package's sparse/incremental paths it is used to verify.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -63,19 +65,67 @@ def exhaustive_min_chip_distance(r, Sd, A):
     return best, best_val
 
 
-def naive_sequential_las(y, Hd, A, b0, max_cycles=100):
-    """Cyclic one-bit ascent with the gradient recomputed from scratch at
-    every step; stops after a full cycle without flips."""
+@dataclass
+class NaiveRun:
+    bits: np.ndarray
+    converged: bool
+    steps: int
+    flips: int
+    additions: int
+    passes: int
+
+
+def column_overlap_counts(S):
+    """Per column k, how many columns (k included) share a chip with it:
+    the structural nonzeros of column k of H, cancelled values included."""
+    support = (dense_columns(S) != 0).astype(int)
+    return ((support.T @ support) > 0).sum(axis=0)
+
+
+def naive_sequential_las(y, Hd, A, b0, max_passes=100, n_prime=0,
+                         col_nnz=None):
+    """LAS ascent with the gradient recomputed from scratch at every step.
+
+    First up to n_prime all-bit steps: every bit with b_k g_k below
+    -sum_j |H_kj| flips at once, and a step that flips nothing ends the
+    phase.  Then one-bit steps in cyclic order from bit 0 with threshold
+    H_kk, until M consecutive steps flip nothing.  An all-bit step counts
+    one step and one pass; one-bit steps count one step each and
+    ceil(steps / M) passes; the whole run stays within max_passes passes.
+    A flip of bit k costs col_nnz[k] additions (default: the nonzeros of
+    column k of Hd)."""
     b = np.asarray(b0, dtype=float).copy()
     M = len(y)
     ay = A * y
-    for _ in range(max_cycles):
-        flipped = False
-        for k in range(M):
-            g = ay - Hd @ b
-            if b[k] * g[k] < -Hd[k, k]:
-                b[k] = -b[k]
-                flipped = True
-        if not flipped:
-            return b.astype(np.int8), True
-    return b.astype(np.int8), False
+    nnz = (Hd != 0).sum(axis=0) if col_nnz is None else np.asarray(col_nnz)
+    steps = flips = additions = passes = 0
+    t_all = np.abs(Hd).sum(axis=1)
+    for _ in range(min(n_prime, max_passes)):
+        g = ay - Hd @ b
+        flipped = np.flatnonzero(b * g < -t_all)
+        steps += 1
+        passes += 1
+        if flipped.size == 0:
+            break
+        b[flipped] = -b[flipped]
+        flips += flipped.size
+        additions += int(nnz[flipped].sum())
+    budget = (max_passes - passes) * M
+    seq = clean = 0
+    converged = False
+    while seq < budget:
+        k = seq % M
+        g = ay - Hd @ b
+        seq += 1
+        if b[k] * g[k] < -Hd[k, k]:
+            b[k] = -b[k]
+            flips += 1
+            additions += int(nnz[k])
+            clean = 0
+        else:
+            clean += 1
+        if clean == M:
+            converged = True
+            break
+    return NaiveRun(b.astype(np.int8), converged, steps + seq, flips,
+                    additions, passes + -(-seq // M))

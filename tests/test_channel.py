@@ -157,3 +157,7 @@ def test_snr_to_sigma_values():
     assert snr_to_sigma(6.0, amplitude=2.0) == 2.0 / 10 ** 0.3
     with pytest.raises(ValueError):
         snr_to_sigma(10.0, amplitude=0.0)
+    assert snr_to_sigma(7000.0) == 0.0  # 10^350 is beyond the float range
+    for snr in (-math.inf, -7000.0, math.nan):
+        with pytest.raises(ValueError):
+            snr_to_sigma(snr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lascdma.cli import main
+from lascdma.harness import CSV_HEADER
 
 
 def read(path):
@@ -119,3 +120,39 @@ def test_dense_l_in_config(tmp_path):
     row = out.read_text().strip().splitlines()[1].split(",")
     assert row[4] == "dense"
     assert row[3] == "16"  # C = 12 / 0.75
+
+
+SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
+              "--set", "min_bit_errors=0", "--set", "max_bits=640"]
+
+
+@pytest.mark.parametrize("override, message", [
+    ("bk_list=64.7", "bk_list: expected an integer, got '64.7'"),
+    ("snr_db=-inf", "snr_db = -inf gives no finite noise level"),
+    ("amplitude=inf", "amplitude must be > 0 and finite"),
+])
+def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
+    out = tmp_path / "x.csv"
+    assert main(["fig1", *SMALL_FIG1, "--set", override, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_max_passes_cutoff_warns_once_per_point(tmp_path, capsys):
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(
+        "M = 64\nalpha = 0.8\nL = 4\nsnr_db = 4,6\ndetectors = MF,SLAS\n"
+        "seed = 2\nmin_bit_errors = 0\nmax_bits = 1280\nmax_passes = 1\n"
+    )
+    out = tmp_path / "cut.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "snr=4 dB" in warnings[0] and "snr=6 dB" in warnings[1]
+    assert all("SLAS" in w and "of 20" in w and "MF" not in w
+               for w in warnings)
+    assert out.read_text().splitlines()[0] == CSV_HEADER
+    cfg.write_text(cfg.read_text().replace("max_passes = 1", "max_passes = 100"))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "warning:" not in capsys.readouterr().err

@@ -9,6 +9,7 @@ from lascdma.detect import (
     Schedule,
     gml_exhaustive,
     initial_gradient,
+    las_lockstep,
     las_run,
     likelihood,
     mf_detect,
@@ -243,9 +244,9 @@ def test_dense_sparse_agreement_bit_for_bit():
         y = matched_filter(S, transmit(S, ChannelParams(A, 0.5), b, rng))
         b0 = mf_detect(y)
         run = slas_detect(y, xc, A, b0)
-        ref_bits, ref_conv = oracles.naive_sequential_las(y, xc.dense_h(), A, b0)
-        assert run.converged and ref_conv
-        assert np.array_equal(run.bits, ref_bits)
+        ref = oracles.naive_sequential_las(y, xc.dense_h(), A, b0)
+        assert run.converged and ref.converged
+        assert np.array_equal(run.bits, ref.bits)
 
 
 def test_restart_from_fixed_point_changes_nothing():
@@ -309,6 +310,69 @@ def test_max_passes_exhaustion_reports_unconverged():
     run = slas_detect(y, xc, A, -mf_detect(y), max_passes=1)
     assert not run.converged
     assert run.steps == 32
+
+
+def _lockstep_batch(seed, M=100):
+    """Problems on three H (L = 4, L = 16, dense), two observations each of
+    the first two (rows sharing an H, as with fixed sets); rows mix SLAS
+    and WSLAS, MF and inverted-MF starts, and budgets of 100 and 1 pass.
+    Returns (ys, xcorrs, A, b0, n_prime, max_passes, problem, col_nnz)."""
+    rng = np.random.default_rng(seed)
+    C = int(round(M / 0.8))
+    A = np.ones(M)
+    ys, xcs, b0, nnz = [], [], [], []
+    for L, n_obs in ((4, 2), (16, 2), (C, 1)):
+        S = gen_sparse_matrix(C, M, L, rng)
+        xc = crosscorrelation(S, A)
+        for _ in range(n_obs):
+            b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
+            y = matched_filter(S, transmit(S, ChannelParams(A, 0.6), b, rng))
+            ys.append(y)
+            xcs.append(xc)
+            b0.append(mf_detect(y) if len(ys) % 2 else -mf_detect(y))
+            nnz.append(oracles.column_overlap_counts(S))
+    problem = np.repeat(np.arange(len(ys)), 3)
+    n_prime = np.tile([0, 10, 3], len(ys))
+    max_passes = np.where(np.arange(problem.size) % 4 == 3, 1, 100)
+    return (np.stack(ys), xcs, A, np.stack(b0), n_prime, max_passes, problem,
+            nnz)
+
+
+def _row(runs, r):
+    return (runs.bits[r].tolist(), bool(runs.converged[r]), int(runs.steps[r]),
+            int(runs.flips[r]), int(runs.additions[r]), int(runs.passes[r]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lockstep_rows_equal_the_naive_reference(seed):
+    ys, xcs, A, b0, n_prime, max_passes, problem, nnz = _lockstep_batch(seed)
+    runs = las_lockstep(ys, xcs, A, b0, n_prime, max_passes, problem=problem)
+    assert not runs.converged.all()  # the one-pass rows are cut off
+    assert (runs.flips[n_prime == 10] > 0).any()
+    for r, p in enumerate(problem):
+        ref = oracles.naive_sequential_las(
+            ys[p], xcs[p].dense_h(), A, b0[p], max_passes=int(max_passes[r]),
+            n_prime=int(n_prime[r]), col_nnz=nnz[p])
+        assert _row(runs, r) == (ref.bits.tolist(), ref.converged, ref.steps,
+                                 ref.flips, ref.additions, ref.passes), r
+
+
+def test_lockstep_row_result_independent_of_its_group():
+    ys, xcs, A, b0, n_prime, max_passes, problem, _ = _lockstep_batch(2)
+    full = las_lockstep(ys, xcs, A, b0, n_prime, max_passes, problem=problem)
+    K = problem.size
+    for rows in ([r] for r in range(K)):  # K = 1
+        alone = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
+                             problem=problem[rows])
+        assert _row(alone, 0) == _row(full, rows[0])
+    for rows in (np.arange(K)[::-1], np.arange(0, K, 2), np.arange(5, K)):
+        part = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
+                            problem=problem[rows])
+        for i, r in enumerate(rows):
+            assert _row(part, i) == _row(full, r)
+    one = slas_detect(ys[0], xcs[0], A, b0[0])
+    assert _row(full, 0) == (one.bits.tolist(), one.converged, one.steps,
+                             one.flips, one.additions, one.passes)
 
 
 def test_las_input_validation():

@@ -93,6 +93,15 @@ def test_config_validation_errors():
         ExperimentConfig(**{**good, "seed": -1}).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**good, "amplitude": 0.0}).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**good, "n_prime": -1}).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**good, "amplitude": math.inf}).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**good, "snr_db": -math.inf}).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**good, "snr_db": (8.0, -7000.0)}).validate()
+    ExperimentConfig(**{**good, "snr_db": math.inf}).validate()
 
 
 def test_infeasible_configs():
@@ -155,6 +164,23 @@ def test_fixed_sets_reporting():
     assert avg.errors == sum(r.errors for r in per_set)
     # equal per-set bit counts make the pooled ratio the arithmetic mean
     assert avg.ber == pytest.approx(np.mean([r.ber for r in per_set]))
+
+
+def test_nonconverged_runs_are_counted():
+    cfg = dict(M=160, alpha=0.8, L=4, snr_db=4.0,
+               detectors=("MF", "SLAS", "WSLAS"), seed=2, min_bit_errors=0,
+               max_bits=160 * 5 * 6, experiment="t")
+    assert all(r.nonconverged == 0 for r in run_experiment(ExperimentConfig(**cfg)))
+    rows = run_experiment(ExperimentConfig(**cfg, max_passes=1))
+    by = {(r.detector, r.seq_set): r for r in rows}
+    assert by[("MF", "avg")].nonconverged == 0
+    for det in ("SLAS", "WSLAS"):
+        per_set = [by[(det, str(s))].nonconverged for s in range(5)]
+        assert by[(det, "avg")].nonconverged == sum(per_set)
+    assert 0 < by[("SLAS", "avg")].nonconverged <= 30
+    # WSLAS spends its one pass on an all-bit step and never verifies
+    assert by[("WSLAS", "avg")].nonconverged == 30
+    assert csv_bytes(rows).splitlines()[0] == CSV_HEADER
 
 
 def test_min_error_stopping_and_ci():
