@@ -22,24 +22,18 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
-    SweepResult,
     q_function,
     run_experiment,
     single_user_bound,
-    sweep_bk,
-    sweep_l,
-    sweep_snr,
+    sweep,
     wilson_interval,
     write_csv,
 )
 from .seqgen import (
     CrossCorr,
     SequenceMatrix,
-    SparseSequence,
     crosscorrelation,
-    dump_matrix,
     gen_sparse_matrix,
-    load_matrix,
 )
 
 __version__ = "0.1.0"
@@ -56,17 +50,13 @@ __all__ = [
     "MAX_EXHAUSTIVE_BITS",
     "Schedule",
     "SequenceMatrix",
-    "SparseSequence",
-    "SweepResult",
     "crosscorrelation",
-    "dump_matrix",
     "gen_sparse_matrix",
     "gml_exhaustive",
     "initial_gradient",
     "las_lockstep",
     "las_run",
     "likelihood",
-    "load_matrix",
     "matched_filter",
     "mf_detect",
     "q_function",
@@ -74,9 +64,7 @@ __all__ = [
     "single_user_bound",
     "slas_detect",
     "snr_to_sigma",
-    "sweep_bk",
-    "sweep_l",
-    "sweep_snr",
+    "sweep",
     "transmit",
     "wilson_interval",
     "write_csv",

@@ -8,46 +8,36 @@ for exact replay with `run`.
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import detect, seqgen
 from .channel import ChannelParams, matched_filter, snr_to_sigma, transmit
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    InfeasibleError,
-    run_experiment,
-    sweep_bk,
-    sweep_l,
-    sweep_snr,
-    write_csv,
-)
+from .harness import ConfigError, ExperimentConfig, sweep, write_csv
 
 _CONFIG_KEYS = (
     "experiment", "M", "alpha", "L", "snr_db", "detectors", "seed",
     "min_bit_errors", "max_bits", "seq_sets", "n_prime", "max_passes",
-    "amplitude", "sweep", "bk_list", "l_list",
+    "amplitude", "bk_list", "l_list",
 )
 
 _PRESETS = {
     # BER and additions/bit versus total bit count, one curve per L
     "fig1": {
         "experiment": "fig1", "alpha": "0.8", "snr_db": "11", "M": "1024",
-        "detectors": "MF,SLAS", "sweep": "bk",
+        "detectors": "MF,SLAS",
         "bk_list": "64,128,256,512,1024", "l_list": "4,8,16,dense",
     },
     # BER and additions/bit versus nonzero-chip count at M = 1024
     "fig2": {
         "experiment": "fig2", "alpha": "0.8", "snr_db": "11", "M": "1024",
-        "detectors": "MF,SLAS", "sweep": "l", "l_list": "4,8,16,dense",
+        "detectors": "MF,SLAS", "l_list": "4,8,16,dense",
     },
     # BER versus SNR at M = 1024, sparse (L=16) and dense reference
     "fig3": {
         "experiment": "fig3", "alpha": "0.8", "M": "1024",
         "snr_db": "2,4,6,8,10,11,12", "detectors": "MF,SLAS",
-        "sweep": "snr", "l_list": "16,dense",
+        "l_list": "16,dense",
     },
 }
 
@@ -96,14 +86,15 @@ def _parse_snr(s):
 
 
 def _config_from_mapping(mapping):
-    """Build (ExperimentConfig, sweep kind, bk_list, l_list) from raw strings."""
+    """Build (ExperimentConfig, bk_list, l_list) from raw strings; a list
+    that is not given is None."""
     unknown = sorted(set(mapping) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     m = dict(mapping)
     kwargs = {}
     if "experiment" in m:
-        kwargs["experiment"] = m["experiment"]
+        kwargs["experiment"] = m["experiment"].strip()
     if "M" not in m:
         raise ConfigError("config requires M")
     kwargs["M"] = _parse_int("M", m["M"])
@@ -134,23 +125,16 @@ def _config_from_mapping(mapping):
         v = m["seq_sets"].strip()
         kwargs["seq_sets"] = v if v in ("auto", "per_tx") else _parse_int("seq_sets", v)
 
-    sweep = m.get("sweep", "none").strip()
-    if sweep not in ("none", "bk", "l", "snr"):
-        raise ConfigError(f"sweep must be one of none/bk/l/snr, got {sweep!r}")
     bk_list = None
     if "bk_list" in m:
         bk_list = tuple(_parse_int("bk_list", tok) for tok in m["bk_list"].split(","))
     l_list = None
     if "l_list" in m:
         l_list = tuple(_parse_l_value(tok) for tok in m["l_list"].split(","))
-    if sweep == "bk" and bk_list is None:
-        raise ConfigError("sweep=bk requires bk_list")
-    if sweep == "l" and l_list is None:
-        raise ConfigError("sweep=l requires l_list")
-    return ExperimentConfig(**kwargs), sweep, bk_list, l_list
+    return ExperimentConfig(**kwargs), bk_list, l_list
 
 
-def _effective_mapping(config, sweep, bk_list, l_list):
+def _effective_mapping(config, bk_list, l_list):
     m = {
         "experiment": config.experiment,
         "M": str(config.M),
@@ -165,7 +149,6 @@ def _effective_mapping(config, sweep, bk_list, l_list):
         "n_prime": str(config.n_prime),
         "max_passes": str(config.max_passes),
         "amplitude": repr(float(config.amplitude)),
-        "sweep": sweep,
     }
     if bk_list is not None:
         m["bk_list"] = ",".join(str(v) for v in bk_list)
@@ -178,28 +161,6 @@ def _dump_config(mapping, path):
     with open(path, "w", encoding="utf-8") as f:
         for key, value in mapping.items():
             f.write(f"{key} = {value}\n")
-
-
-def _execute(config, sweep, bk_list, l_list, workers):
-    rows, failures = [], []
-    if sweep == "none":
-        rows = run_experiment(config, workers=workers)
-    elif sweep == "bk":
-        for L in l_list or (config.L,):
-            res = sweep_bk(replace(config, L=L), bk_list, workers=workers)
-            rows.extend(res.rows)
-            failures.extend((f"L={L},{lbl}", e) for lbl, e in res.failures)
-    elif sweep == "l":
-        res = sweep_l(config, l_list, workers=workers)
-        rows.extend(res.rows)
-        failures.extend(res.failures)
-    else:  # snr
-        for L in l_list or (config.L,):
-            res = sweep_snr(replace(config, L=L), config.snr_points(),
-                            workers=workers)
-            rows.extend(res.rows)
-            failures.extend((f"L={L},{lbl}", e) for lbl, e in res.failures)
-    return rows, failures
 
 
 def _warn_nonconverged(rows, err):
@@ -400,12 +361,12 @@ def main(argv=None):
         if args.seed is not None:
             mapping["seed"] = str(args.seed)
 
-        config, sweep, bk_list, l_list = _config_from_mapping(mapping)
+        config, bk_list, l_list = _config_from_mapping(mapping)
         if args.dump_config:
-            _dump_config(_effective_mapping(config, sweep, bk_list, l_list),
+            _dump_config(_effective_mapping(config, bk_list, l_list),
                          args.dump_config)
 
-        rows, failures = _execute(config, sweep, bk_list, l_list, args.workers)
+        rows, failures = sweep(config, bk_list, l_list, workers=args.workers)
         out_path = args.out or f"{args.command}.csv"
         write_csv(rows, out_path)
         out.write(f"wrote {len(rows)} rows to {out_path}\n")
@@ -416,9 +377,6 @@ def main(argv=None):
                 sys.stderr.write(f"infeasible point {label}: {exc}\n")
             return 3
         return 0
-    except InfeasibleError as e:
-        sys.stderr.write(f"infeasible configuration: {e}\n")
-        return 3
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

@@ -27,8 +27,6 @@ The bit-update schedules:
                  stepping if it flipped anything).
   hybrid      -- `parallel_steps` all-bit steps, then sequential to a
                  verified fixed point.  hybrid(0) == sequential.
-  custom      -- caller-provided index sets, then sequential to a verified
-                 fixed point.
 
 One implementation runs them all: a row-batched kernel that advances K
 runs in lockstep, each row on its own (y, H, start vector), rows sharing an
@@ -53,23 +51,14 @@ MAX_EXHAUSTIVE_BITS = 20  # hard cap for the brute-force search
 class Schedule:
     """Which index set L(n) each update step examines."""
 
-    kind: str  # "sequential" | "parallel" | "hybrid" | "custom"
+    kind: str  # "sequential" | "parallel" | "hybrid"
     parallel_steps: int = 0
-    custom_sets: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("sequential", "parallel", "hybrid", "custom"):
+        if self.kind not in ("sequential", "parallel", "hybrid"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "hybrid" and self.parallel_steps < 0:
             raise ValueError("parallel_steps must be >= 0")
-        if self.kind == "custom":
-            sets = tuple(np.asarray(s, dtype=np.int64) for s in self.custom_sets)
-            for s in sets:
-                if s.size == 0:
-                    raise ValueError("custom index sets must be nonempty")
-                if np.unique(s).size != s.size:
-                    raise ValueError("custom index sets must not repeat indices")
-            object.__setattr__(self, "custom_sets", sets)
 
     @classmethod
     def sequential(cls):
@@ -82,10 +71,6 @@ class Schedule:
     @classmethod
     def hybrid(cls, parallel_steps):
         return cls("hybrid", parallel_steps=parallel_steps)
-
-    @classmethod
-    def custom(cls, sets):
-        return cls("custom", custom_sets=tuple(sets))
 
 
 @dataclass
@@ -327,23 +312,16 @@ class _Lockstep:
             for r, k in zip(rows.tolist(), ks.tolist()):
                 self._after_flips(r, (k,))
 
-    def set_step(self, rows, members, thresholds):
-        """One update step of each row over the index set members (every
-        bit when None), with thresholds broadcast against (rows, members).
-        Flips use the pre-step bits and add into g in ascending position
-        within members.  Returns which rows flipped anything."""
-        if members is None:
-            hit = (self.B[rows, :self.M] * self.G[rows, :self.M]
-                   < -thresholds)
-        else:
-            hit = (self.B[rows][:, members] * self.G[rows][:, members]
-                   < -thresholds)
+    def set_step(self, rows, thresholds):
+        """One all-bit update step of each row, with thresholds broadcast
+        against (rows, M).  Flips use the pre-step bits and add into g in
+        ascending bit order.  Returns which rows flipped anything."""
+        hit = self.B[rows, :self.M] * self.G[rows, :self.M] < -thresholds
         self.steps[rows] += 1
         self.passes[rows] += 1
-        ri, ci = np.nonzero(hit)
+        ri, k = np.nonzero(hit)
         if ri.size:
             r = rows[ri]
-            k = ci if members is None else members[ci]
             c = 2.0 * self.B[r, k]
             cols, vals, lens = self._columns(r, k)
             np.add.at(self.G.reshape(-1), np.repeat(r * self.Mp, lens) + cols,
@@ -407,7 +385,7 @@ def _ascend(st, rows, n_prime, max_passes):
     todo = rows[left > 0]
     left = left[left > 0]
     while todo.size:
-        moved = st.set_step(todo, None, st.abs_row_sums(todo))
+        moved = st.set_step(todo, st.abs_row_sums(todo))
         left -= 1
         keep = moved & (left > 0)
         todo, left = todo[keep], left[keep]
@@ -444,20 +422,6 @@ def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
                         passes=out(st.passes))
 
 
-def _set_thresholds(xcorr, members):
-    """t_k = sum_{j in set} |H_kj| for each k in the set, and the work it
-    took (charged to overhead, not to the reported additions)."""
-    mask = np.zeros(xcorr.n_bits, dtype=bool)
-    mask[members] = True
-    out = np.empty(members.size)
-    work = 0
-    for i, k in enumerate(members):
-        lo, hi = xcorr.indptr[k], xcorr.indptr[k + 1]
-        out[i] = np.abs(xcorr.h_data[lo:hi][mask[xcorr.indices[lo:hi]]]).sum()
-        work += int(hi - lo)
-    return out, work
-
-
 def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
             record_likelihood=False, record_flips=False, check_gradient=False):
     """Run one LAS detector to a fixed point: the one-row case of the
@@ -488,7 +452,7 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
         overhead += xcorr.nnz
         converged = False
         while st.passes[0] < max_passes:
-            if st.set_step(row, None, xcorr.abs_row_sums)[0]:
+            if st.set_step(row, xcorr.abs_row_sums)[0]:
                 continue
             # empty all-bit step: verify with one sequential cycle, and
             # resume all-bit stepping if the stricter thresholds flipped
@@ -497,14 +461,6 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
             if st.sequential(row, np.ones(1, dtype=np.int64))[0]:
                 converged = True
                 break
-    elif schedule.kind == "custom":
-        for members in schedule.custom_sets:
-            if st.passes[0] >= max_passes:
-                break
-            t_set, work = _set_thresholds(xcorr, members)
-            overhead += work
-            st.set_step(row, members, t_set)
-        converged = st.sequential(row, max_passes - st.passes)[0]
     else:  # pragma: no cover - Schedule validates kind
         raise ValueError(schedule.kind)
 

@@ -134,10 +134,16 @@ class ExperimentConfig:
         return tuple(d for d in DETECTOR_ORDER if d in dets)
 
     def validate(self):
+        bad = [c for c in self.experiment if c in ',"#' or not c.isprintable()]
+        if bad:
+            raise ConfigError(
+                f"experiment {self.experiment!r} contains {bad[0]!r}: names "
+                f"must be printable, without ',', '\"' or '#'"
+            )
         if self.M < 1:
             raise ConfigError("M must be >= 1")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be > 0 and finite")
         if self.L != "dense":
             try:
                 L = int(self.L)
@@ -229,23 +235,12 @@ class BerEstimate:
 
 
 @dataclass
-class SweepResult:
-    """Rows from a parameter sweep plus any infeasible points skipped."""
-
-    rows: list
-    failures: list  # (point label, exception)
-
-
-@dataclass
 class _PointCtx:
     """Everything a worker needs to run trials of one point."""
 
-    experiment: str
-    seed: int
     M: int
     C: int
     L: int
-    dense: bool
     snr_db: float
     detectors: tuple
     amplitudes: np.ndarray
@@ -409,8 +404,9 @@ def _next_batch_trials(min_bit_errors, max_bits, bits_per_round, trials_done,
 
 
 def _resolve_sets(config, L, matrices):
-    """Returns (n_sets, per_tx, prepared) honoring policy and any injected
-    matrices; prepared is a list of (SequenceMatrix, CrossCorr) or None."""
+    """Returns (n_sets, prepared) honoring policy and any injected matrices;
+    prepared is a list of (SequenceMatrix, CrossCorr), or None for a fresh
+    matrix per transmission."""
     M, C = config.M, config.C
     amplitudes = np.full(M, config.amplitude)
     if matrices is not None:
@@ -421,90 +417,68 @@ def _resolve_sets(config, L, matrices):
                     "injected matrix shape does not match the configuration"
                 )
             prepared.append((S, crosscorrelation(S, amplitudes)))
-        return len(prepared), False, prepared
+        return len(prepared), prepared
     policy = config.seq_sets
     if policy == "auto":
         policy = "per_tx" if M <= PER_TX_MAX_BITS else DEFAULT_FIXED_SETS
     if policy == "per_tx":
-        return 1, True, None
+        return 1, None
     n_sets = int(policy)
     prepared = []
     for s in range(n_sets):
         rng = _set_matrix_rng(config.seed, M, C, L, s)
         S = gen_sparse_matrix(C, M, L, rng)
         prepared.append((S, crosscorrelation(S, amplitudes)))
-    return n_sets, False, prepared
+    return n_sets, prepared
 
 
-def _point_rows(config, ctx, n_sets, per_tx, acc, audit_acc, trials_done,
-                censored):
-    alpha_req = config.alpha
-    alpha_eff = config.alpha_eff
+def _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done, censored):
     label = f"{config.experiment}[seed={config.seed}]"
     L_label = "dense" if config.L == "dense" else ctx.L
+
+    def estimate(det, seq_set, counts, trials):
+        err, adds, passes, unconverged = counts
+        bits = trials * ctx.M
+        lo, hi = wilson_interval(err, bits)
+        return BerEstimate(
+            experiment=label, detector=det, M=ctx.M, C=ctx.C, L=L_label,
+            alpha_req=config.alpha, alpha_eff=config.alpha_eff,
+            snr_db=ctx.snr_db, seq_set=seq_set, bits=bits, errors=err,
+            ber=err / bits if bits else 0.0, ci_low=lo, ci_high=hi,
+            adds_per_bit=adds / bits if bits else 0.0,
+            passes_mean=passes / trials if trials else 0.0,
+            censored=censored, nonconverged=unconverged,
+        )
+
     rows = []
-    n_trials_total = trials_done * n_sets
     for d_idx, det in enumerate(ctx.detectors):
-        per_set = []
-        for s in range(n_sets):
-            err, adds, passes, unconverged = acc[s][d_idx]
-            bits = trials_done * ctx.M
-            lo, hi = wilson_interval(err, bits)
-            per_set.append(
-                BerEstimate(
-                    experiment=label, detector=det, M=ctx.M, C=ctx.C,
-                    L=L_label, alpha_req=alpha_req, alpha_eff=alpha_eff,
-                    snr_db=ctx.snr_db,
-                    seq_set="per_tx" if per_tx else str(s),
-                    bits=bits, errors=err,
-                    ber=err / bits if bits else 0.0,
-                    ci_low=lo, ci_high=hi,
-                    adds_per_bit=adds / bits if bits else 0.0,
-                    passes_mean=passes / trials_done if trials_done else 0.0,
-                    censored=censored, nonconverged=unconverged,
-                )
-            )
-        audit_row = per_set[0] if n_sets == 1 else None
+        per_set = [
+            estimate(det, "per_tx" if ctx.matrices is None else str(s),
+                     acc[s][d_idx], trials_done)
+            for s in range(n_sets)
+        ]
         if n_sets > 1:
-            err, adds, passes, unconverged = (
-                sum(col) for col in zip(*(acc[s][d_idx] for s in range(n_sets)))
-            )
-            bits = n_trials_total * ctx.M
-            lo, hi = wilson_interval(err, bits)
-            avg = BerEstimate(
-                experiment=label, detector=det, M=ctx.M, C=ctx.C,
-                L=L_label, alpha_req=alpha_req, alpha_eff=alpha_eff,
-                snr_db=ctx.snr_db, seq_set="avg",
-                bits=bits, errors=err,
-                ber=err / bits if bits else 0.0,
-                ci_low=lo, ci_high=hi,
-                adds_per_bit=adds / bits if bits else 0.0,
-                passes_mean=passes / n_trials_total if n_trials_total else 0.0,
-                censored=censored, nonconverged=unconverged,
-            )
-            per_set.append(avg)
-            audit_row = avg
-        if det in ctx.audit_detectors and n_trials_total:
-            a_idx = ctx.audit_detectors.index(det)
-            matches, viols = audit_acc[a_idx]
-            audit_row.gml_match_rate = matches / n_trials_total
-            audit_row.gml_omega_violations = viols
+            pooled = [sum(col) for col in zip(*(row[d_idx] for row in acc))]
+            per_set.append(estimate(det, "avg", pooled, trials_done * n_sets))
+        # the audit goes on the aggregate row: the avg row, or the only one
+        if det in ctx.audit_detectors and trials_done:
+            matches, viols = audit_acc[ctx.audit_detectors.index(det)]
+            per_set[-1].gml_match_rate = matches / (trials_done * n_sets)
+            per_set[-1].gml_omega_violations = viols
         rows.extend(per_set)
     return rows
 
 
-def _run_point(config, snr_db, workers, matrices):
+def _run_point(config, snr_db, workers, n_sets, prepared):
     M, C, L = config.M, config.C, config.resolved_L()
     detectors = config.normalized_detectors()
     amplitudes = np.full(M, config.amplitude)
     sigma = snr_to_sigma(snr_db, config.amplitude)
-    n_sets, per_tx, prepared = _resolve_sets(config, L, matrices)
     audit_detectors = tuple(
         d for d in detectors if d in LML_DETECTORS
     ) if "GML" in detectors else ()
     ctx = _PointCtx(
-        experiment=config.experiment, seed=config.seed, M=M, C=C, L=L,
-        dense=(L == C), snr_db=snr_db,
+        M=M, C=C, L=L, snr_db=snr_db,
         detectors=detectors, amplitudes=amplitudes,
         params=ChannelParams(amplitudes, sigma),
         n_prime=config.n_prime, max_passes=config.max_passes,
@@ -582,58 +556,49 @@ def _run_point(config, snr_db, workers, matrices):
     censored = config.min_bit_errors > 0 and any(
         e < config.min_bit_errors for e in errs
     )
-    return _point_rows(config, ctx, n_sets, per_tx, acc, audit_acc,
-                       trials_done, censored)
+    return _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done,
+                       censored)
 
 
 def run_experiment(config, workers=1, matrices=None):
     """Run one experiment (all its SNR points) and return BerEstimate rows.
 
     matrices, when given, injects fixed spreading matrices (overriding the
-    sequence-set policy); they must match the configured geometry.
+    sequence-set policy); they must match the configured geometry.  Fixed
+    sets are drawn once and serve every SNR point.
     """
     config.validate()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    n_sets, prepared = _resolve_sets(config, config.resolved_L(), matrices)
     rows = []
     for snr in config.snr_points():
-        rows.extend(_run_point(config, snr, workers, matrices))
+        rows.extend(_run_point(config, snr, workers, n_sets, prepared))
     return rows
 
 
-def sweep_bk(config, bk_list, workers=1):
-    """One point per total bit count M; infeasible points are collected, not
-    fatal.  Each point derives its substreams from its own parameters."""
-    rows, failures = [], []
-    for M in bk_list:
-        try:
-            rows.extend(run_experiment(replace(config, M=int(M)), workers))
-        except InfeasibleError as e:
-            failures.append((f"M={M}", e))
-    return SweepResult(rows, failures)
+def sweep(config, bk_list=None, l_list=None, workers=1):
+    """Run the grid l_list x bk_list and return (rows, failures).
 
-
-def sweep_l(config, l_list, workers=1):
-    """One point per nonzero-chip count (entries may be ints or "dense")."""
-    rows, failures = [], []
-    for L in l_list:
-        L = L if L == "dense" else int(L)
-        try:
-            rows.extend(run_experiment(replace(config, L=L), workers))
-        except InfeasibleError as e:
-            failures.append((f"L={L}", e))
-    return SweepResult(rows, failures)
-
-
-def sweep_snr(config, snr_list, workers=1):
-    """One point per SNR value (dB)."""
-    rows, failures = [], []
-    for snr in snr_list:
-        try:
-            rows.extend(run_experiment(replace(config, snr_db=float(snr)), workers))
-        except InfeasibleError as e:
-            failures.append((f"snr_db={snr}", e))
-    return SweepResult(rows, failures)
+    Each list defaults to the config's own L or M, and every point runs
+    over the config's SNR list, L outermost.  Every point is validated
+    before any runs: an infeasible one becomes a failure ("L=...,M=...",
+    InfeasibleError) and the rest still run; any other ConfigError raises.
+    """
+    points, failures = [], []
+    for L in l_list or (config.L,):
+        for M in bk_list or (config.M,):
+            point = replace(config, L=L, M=M)
+            try:
+                point.validate()
+            except InfeasibleError as e:
+                failures.append((f"L={L},M={M}", e))
+            else:
+                points.append(point)
+    rows = []
+    for point in points:
+        rows.extend(run_experiment(point, workers))
+    return rows, failures
 
 
 CSV_HEADER = (

@@ -20,49 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class SparseSequence:
-    """One spreading sequence: L distinct chip positions with +/-1 signs.
-
-    The nonzero amplitude is implied as 1/sqrt(L), so the sequence has unit
-    Euclidean norm.
-    """
-
-    n_chips: int
-    chips: np.ndarray  # (L,) int32, strictly increasing
-    signs: np.ndarray  # (L,) int8, entries +/-1
-
-    def __post_init__(self):
-        chips = np.ascontiguousarray(self.chips, dtype=np.int32)
-        signs = np.ascontiguousarray(self.signs, dtype=np.int8)
-        object.__setattr__(self, "chips", chips)
-        object.__setattr__(self, "signs", signs)
-        if chips.ndim != 1 or signs.shape != chips.shape:
-            raise ValueError("chips and signs must be 1-d arrays of equal length")
-        if chips.size < 1 or chips.size > self.n_chips:
-            raise ValueError("need 1 <= L <= C nonzero chips")
-        if chips[0] < 0 or chips[-1] >= self.n_chips:
-            raise ValueError("chip index out of range")
-        if chips.size > 1 and not np.all(np.diff(chips) > 0):
-            raise ValueError("chip indices must be distinct and sorted")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("signs must be +/-1")
-
-    @property
-    def n_nonzero(self):
-        return int(self.chips.size)
-
-    @property
-    def amplitude(self):
-        """Magnitude of each nonzero chip, 1/sqrt(L)."""
-        return 1.0 / np.sqrt(self.chips.size)
-
-    def dense(self):
-        v = np.zeros(self.n_chips)
-        v[self.chips] = self.signs * self.amplitude
-        return v
-
-
 @dataclass
 class SequenceMatrix:
     """M spreading sequences over C chips, all with the same nonzero count L.
@@ -107,9 +64,6 @@ class SequenceMatrix:
     def chip_amplitude(self):
         return 1.0 / np.sqrt(self.n_nonzero)
 
-    def column(self, k):
-        return SparseSequence(self.n_chips, self.chips[k].copy(), self.signs[k].copy())
-
     @cached_property
     def chip_index(self):
         """Inverted map chip -> occupying columns, as CSR-style arrays.
@@ -124,16 +78,6 @@ class SequenceMatrix:
         counts = np.bincount(flat, minlength=self.n_chips)
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return indptr, cols, signs
-
-    def columns_from_chip_index(self):
-        """Rebuild (chips, signs) from the inverted index (round-trip check)."""
-        indptr, cols, signs = self.chip_index
-        counts = np.diff(indptr)
-        chip_of_entry = np.repeat(np.arange(self.n_chips, dtype=np.int32), counts)
-        order = np.lexsort((chip_of_entry, cols))
-        chips = chip_of_entry[order].reshape(self.n_bits, self.n_nonzero)
-        out_signs = signs[order].reshape(self.n_bits, self.n_nonzero)
-        return chips, out_signs
 
     @cached_property
     def dense_matrix(self):
@@ -281,50 +225,3 @@ def crosscorrelation(S, amplitudes):
     diag = h_data[indices == rows_of]
     return CrossCorr(n_bits=M, indptr=indptr, indices=indices,
                      r_data=r_data, h_data=h_data, diag=diag)
-
-
-def dump_matrix(S, fp):
-    """Write a matrix in the debug text format, one line per column:
-    `col_index L chip:sign chip:sign ...` after a `# chips=C` header."""
-    fp.write(f"# chips={S.n_chips}\n")
-    for k in range(S.n_bits):
-        ent = " ".join(
-            f"{c}:{'+1' if s > 0 else '-1'}"
-            for c, s in zip(S.chips[k], S.signs[k])
-        )
-        fp.write(f"{k} {S.n_nonzero} {ent}\n")
-
-
-def load_matrix(fp, n_chips=None):
-    """Read a matrix written by dump_matrix."""
-    chips, signs = [], []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("chips="):
-                    n_chips = int(tok[6:])
-            continue
-        parts = line.split()
-        k, L = int(parts[0]), int(parts[1])
-        if k != len(chips):
-            raise ValueError(f"column lines out of order at column {k}")
-        if len(parts) != 2 + L:
-            raise ValueError(f"column {k}: expected {L} entries")
-        row_c, row_s = [], []
-        for tok in parts[2:]:
-            c, s = tok.split(":")
-            row_c.append(int(c))
-            row_s.append(int(s))
-        chips.append(row_c)
-        signs.append(row_s)
-    if n_chips is None:
-        raise ValueError("chip count missing (no header and none supplied)")
-    return SequenceMatrix(
-        n_chips,
-        len(chips),
-        np.asarray(chips, dtype=np.int32),
-        np.asarray(signs, dtype=np.int8),
-    )

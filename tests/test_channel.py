@@ -13,7 +13,7 @@ def test_noiseless_single_user_is_the_column():
     rng = np.random.default_rng(0)
     S = gen_sparse_matrix(16, 1, 4, rng)
     r = transmit(S, ChannelParams(np.ones(1), 0.0), np.array([1], dtype=np.int8), rng)
-    assert np.array_equal(r, S.column(0).dense())
+    assert np.array_equal(r, S.dense_matrix[:, 0])
 
 
 @pytest.mark.parametrize("seed,C,M,L", [
@@ -56,7 +56,7 @@ def test_noise_moments():
 def test_matched_filter_unit_norm_single_user():
     rng = np.random.default_rng(1)
     S = gen_sparse_matrix(16, 1, 4, rng)
-    y = matched_filter(S, S.column(0).dense())
+    y = matched_filter(S, S.dense_matrix[:, 0])
     assert abs(y[0] - 1.0) < 1e-12
 
 

@@ -1,8 +1,16 @@
+import csv
+import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lascdma import cli
 from lascdma.cli import main
-from lascdma.harness import CSV_HEADER
+from lascdma.harness import CSV_HEADER, ConfigError, run_experiment, write_csv
 
 
 def read(path):
@@ -74,7 +82,7 @@ def test_sweep_with_infeasible_point_continues(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "M = 64\nalpha = 0.8\nL = 16\nsnr_db = 6\ndetectors = MF\n"
-        "min_bit_errors = 0\nmax_bits = 1280\nsweep = bk\nbk_list = 8,64\n"
+        "min_bit_errors = 0\nmax_bits = 1280\nbk_list = 8,64\n"
     )
     out = tmp_path / "s.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
@@ -130,6 +138,9 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     ("bk_list=64.7", "bk_list: expected an integer, got '64.7'"),
     ("snr_db=-inf", "snr_db = -inf gives no finite noise level"),
     ("amplitude=inf", "amplitude must be > 0 and finite"),
+    ("alpha=inf", "alpha must be > 0 and finite"),
+    ("experiment=a,b", "experiment 'a,b' contains ','"),
+    ("experiment=a#b", "experiment 'a#b' contains '#'"),
 ])
 def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
     out = tmp_path / "x.csv"
@@ -156,3 +167,56 @@ def test_max_passes_cutoff_warns_once_per_point(tmp_path, capsys):
     cfg.write_text(cfg.read_text().replace("max_passes = 1", "max_passes = 100"))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert "warning:" not in capsys.readouterr().err
+
+
+# each key maps to one of a few well-formed values or to short junk text;
+# the junk has no digit but 0, so every count stays small
+_GOOD = {
+    "experiment": ["run", "fig 1"], "M": ["1", "4", "8", "1e0"],
+    "alpha": ["0.5", "0.8", "1"], "L": ["1", "2", "dense"],
+    "snr_db": ["6", "4,8", "inf"], "detectors": ["MF", "mf,slas", "WSLAS,GML"],
+    "seed": ["0", "3"], "min_bit_errors": ["0", "5"], "max_bits": ["8", "100"],
+    "seq_sets": ["auto", "per_tx", "2"], "n_prime": ["0", "3"],
+    "max_passes": ["1", "100"], "amplitude": ["1", "0.5"],
+    "bk_list": ["4,8", "2"], "l_list": ["1,dense", "2"],
+}
+_JUNK = st.text(alphabet=st.one_of(
+    st.sampled_from(' ,#="\t\n0.-'),
+    st.characters(blacklist_categories=("Cs", "Nd")),
+), max_size=4)
+
+
+def _value(key):
+    return st.sampled_from(_GOOD[key]) | _JUNK
+
+
+# M, alpha and experiment always, up to three more keys
+_MAPPINGS = st.tuples(
+    st.fixed_dictionaries({k: _value(k) for k in ("M", "alpha", "experiment")}),
+    st.sets(st.sampled_from(sorted(_GOOD)), max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _value(k) for k in keys})
+    ),
+).map(lambda parts: {**parts[1], **parts[0]})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_MAPPINGS)
+def test_parsed_config_is_rejected_or_replays_and_writes_clean_csv(mapping):
+    assert sorted(_GOOD) == sorted(cli._CONFIG_KEYS)
+    try:
+        config, bk_list, l_list = cli._config_from_mapping(mapping)
+        config.validate()
+    except ConfigError:
+        return
+    effective = cli._effective_mapping(config, bk_list, l_list)
+    with tempfile.TemporaryDirectory() as tmp:
+        dumped = Path(tmp) / "effective.cfg"
+        cli._dump_config(effective, dumped)
+        replayed = cli._config_from_mapping(cli._parse_config_file(dumped))
+    assert cli._effective_mapping(*replayed) == effective
+    # one transmission per set is enough to format every row
+    rows = run_experiment(replace(config, min_bit_errors=0, max_bits=config.M))
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    buf.seek(0)
+    assert all(len(fields) == 17 for fields in csv.reader(buf))

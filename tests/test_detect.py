@@ -184,7 +184,6 @@ def test_converged_sequential_runs_are_local_maxima():
     Schedule.sequential(),
     Schedule.parallel(),
     Schedule.hybrid(4),
-    Schedule.custom([np.array([0, 2, 4]), np.array([1, 3])]),
 ])
 def test_monotone_ascent_and_termination(schedule):
     for seed in range(15):
@@ -387,10 +386,6 @@ def test_las_input_validation():
         slas_detect(y, xc, A, np.array([1], dtype=np.int8), max_passes=0)
     with pytest.raises(ValueError):
         Schedule("bogus")
-    with pytest.raises(ValueError):
-        Schedule.custom([np.array([], dtype=int)])
-    with pytest.raises(ValueError):
-        Schedule.custom([np.array([1, 1, 2])])
 
 
 # ---------------------------------------------------------------------------

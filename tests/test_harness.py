@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from lascdma import harness
 from lascdma.harness import (
     ConfigError,
     ExperimentConfig,
@@ -12,9 +13,7 @@ from lascdma.harness import (
     q_function,
     run_experiment,
     single_user_bound,
-    sweep_bk,
-    sweep_l,
-    sweep_snr,
+    sweep,
     wilson_interval,
     write_csv,
     CSV_HEADER,
@@ -261,20 +260,33 @@ def test_sweep_bk_collects_infeasible_points():
     cfg = ExperimentConfig(M=64, alpha=0.8, L=16, snr_db=6.0,
                            detectors=("MF",), seed=1, min_bit_errors=0,
                            max_bits=3000, experiment="t")
-    res = sweep_bk(cfg, [8, 64, 128])  # M=8 gives C=10 < L=16
-    assert len(res.failures) == 1
-    assert res.failures[0][0] == "M=8"
-    assert sorted({r.M for r in res.rows}) == [64, 128]
+    rows, failures = sweep(cfg, bk_list=[8, 64, 128])  # M=8: C=10 < L=16
+    assert len(failures) == 1
+    assert failures[0][0] == "L=16,M=8"
+    assert sorted({r.M for r in rows}) == [64, 128]
+
+
+def test_sweep_validates_every_point_before_running_any(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config, workers: calls.append(config.M) or [])
+    cfg = small_config()
+    with pytest.raises(ConfigError, match="M must be >= 1"):
+        sweep(cfg, bk_list=(64, 0))
+    assert calls == []
+    rows, failures = sweep(cfg, bk_list=(64, 8), l_list=(4, 16))
+    assert calls == [64, 8, 64]  # L=16, M=8 has C=10 < L
+    assert [label for label, _ in failures] == ["L=16,M=8"]
 
 
 def test_sweep_l_includes_dense():
     cfg = ExperimentConfig(M=16, alpha=0.8, L=4, snr_db=6.0,
                            detectors=("SLAS",), seed=1, min_bit_errors=0,
                            max_bits=16 * 30, experiment="t")
-    res = sweep_l(cfg, [2, 4, "dense"])
-    assert not res.failures
-    assert [r.L for r in res.rows] == [2, 4, "dense"]
-    dense_row = res.rows[-1]
+    rows, failures = sweep(cfg, l_list=[2, 4, "dense"])
+    assert not failures
+    assert [r.L for r in rows] == [2, 4, "dense"]
+    dense_row = rows[-1]
     assert dense_row.C == 20
 
 
@@ -284,9 +296,9 @@ def test_ber_decreases_with_total_bit_count():
     cfg = ExperimentConfig(M=128, alpha=0.8, L=8, snr_db=11.0,
                            detectors=("SLAS",), seed=21, min_bit_errors=60,
                            max_bits=2_000_000, experiment="trend")
-    res = sweep_bk(cfg, [128, 256, 512])
-    assert not res.failures
-    curve = [r for r in res.rows if r.seq_set in ("avg", "per_tx")]
+    rows, failures = sweep(cfg, bk_list=[128, 256, 512])
+    assert not failures
+    curve = [r for r in rows if r.seq_set in ("avg", "per_tx")]
     assert [r.M for r in curve] == [128, 256, 512]
     for hi, lo in zip(curve, curve[1:]):
         overlap = not (hi.ci_low > lo.ci_high or lo.ci_low > hi.ci_high)
@@ -294,9 +306,10 @@ def test_ber_decreases_with_total_bit_count():
 
 
 def test_sweep_snr_rows_in_order():
-    cfg = small_config()
-    res = sweep_snr(cfg, [2.0, 4.0, 6.0])
-    snrs = [r.snr_db for r in res.rows if r.detector == "SLAS"]
+    cfg = small_config(snr_db=(2.0, 4.0, 6.0))
+    rows, failures = sweep(cfg)
+    assert not failures
+    snrs = [r.snr_db for r in rows if r.detector == "SLAS"]
     assert snrs == [2.0, 4.0, 6.0]
 
 

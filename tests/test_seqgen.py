@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,11 +6,8 @@ import pytest
 from lascdma.seqgen import (
     CrossCorr,
     SequenceMatrix,
-    SparseSequence,
     crosscorrelation,
-    dump_matrix,
     gen_sparse_matrix,
-    load_matrix,
 )
 
 import oracles
@@ -24,7 +20,7 @@ def rng_for(seed):
 def test_dense_column_is_ordinary_random_spreading():
     # C == L: every chip carries +/- 1/sqrt(C)
     S = gen_sparse_matrix(8, 1, 8, rng_for(0))
-    col = S.column(0).dense()
+    col = S.dense_matrix[:, 0]
     assert np.all(np.abs(col) == pytest.approx(1 / math.sqrt(8), abs=0))
     assert abs(np.linalg.norm(col) - 1.0) < 1e-12
     assert S.is_dense
@@ -32,7 +28,7 @@ def test_dense_column_is_ordinary_random_spreading():
 
 def test_single_chip_column_has_exact_unit_norm():
     S = gen_sparse_matrix(4, 1, 1, rng_for(1))
-    col = S.column(0).dense()
+    col = S.dense_matrix[:, 0]
     assert np.count_nonzero(col) == 1
     assert np.linalg.norm(col) == 1.0  # 1/sqrt(1) is exact
 
@@ -94,9 +90,11 @@ def test_column_norms_unit(seed, C, M, L):
 ])
 def test_chip_index_round_trip(seed, C, M, L):
     S = gen_sparse_matrix(C, M, L, rng_for(seed))
-    chips, signs = S.columns_from_chip_index()
-    assert np.array_equal(chips, S.chips)
-    assert np.array_equal(signs, S.signs)
+    indptr, cols, signs = S.chip_index
+    for c in range(C):
+        k, j = np.nonzero(S.chips == c)  # occupying columns, ascending
+        assert np.array_equal(cols[indptr[c]:indptr[c + 1]], k)
+        assert np.array_equal(signs[indptr[c]:indptr[c + 1]], S.signs[k, j])
 
 
 @pytest.mark.parametrize("seed,C,M,L", [
@@ -198,15 +196,6 @@ def test_dense_mode_has_full_structure():
     assert xc.nnz == 25
 
 
-def test_sparse_sequence_validation():
-    with pytest.raises(ValueError):
-        SparseSequence(4, np.array([0, 0]), np.array([1, 1]))  # dup chips
-    with pytest.raises(ValueError):
-        SparseSequence(4, np.array([0, 4]), np.array([1, 1]))  # out of range
-    with pytest.raises(ValueError):
-        SparseSequence(4, np.array([0, 1]), np.array([1, 2]))  # bad sign
-
-
 def test_sequence_matrix_validation():
     good = dict(chips=np.array([[0, 1]], dtype=np.int32),
                 signs=np.array([[1, -1]], dtype=np.int8))
@@ -219,20 +208,3 @@ def test_sequence_matrix_validation():
         SequenceMatrix(4, 1, chips=np.array([[1, 0]], dtype=np.int32),
                        signs=np.array([[1, 1]], dtype=np.int8))  # unsorted
 
-
-def test_dump_load_round_trip():
-    S = gen_sparse_matrix(32, 6, 3, rng_for(11))
-    buf = io.StringIO()
-    dump_matrix(S, buf)
-    buf.seek(0)
-    S2 = load_matrix(buf)
-    assert S2.n_chips == S.n_chips
-    assert np.array_equal(S2.chips, S.chips)
-    assert np.array_equal(S2.signs, S.signs)
-
-
-def test_load_matrix_requires_chip_count():
-    with pytest.raises(ValueError):
-        load_matrix(io.StringIO("0 1 2:+1\n"))
-    S = load_matrix(io.StringIO("0 1 2:+1\n"), n_chips=4)
-    assert S.n_chips == 4
