@@ -14,7 +14,6 @@ from .detect import (
     likelihood,
     mf_detect,
     slas_detect,
-    write_trace_csv,
     wslas_detect,
 )
 from .harness import (
@@ -68,6 +67,5 @@ __all__ = [
     "transmit",
     "wilson_interval",
     "write_csv",
-    "write_trace_csv",
     "wslas_detect",
 ]

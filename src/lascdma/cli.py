@@ -18,7 +18,7 @@ from .harness import ConfigError, ExperimentConfig, sweep, write_csv
 _CONFIG_KEYS = (
     "experiment", "M", "alpha", "L", "snr_db", "detectors", "seed",
     "min_bit_errors", "max_bits", "seq_sets", "n_prime", "max_passes",
-    "amplitude", "bk_list", "l_list",
+    "bk_list", "l_list",
 )
 
 _PRESETS = {
@@ -116,11 +116,6 @@ def _config_from_mapping(mapping):
     for key in ("seed", "min_bit_errors", "max_bits", "n_prime", "max_passes"):
         if key in m:
             kwargs[key] = _parse_int(key, m[key])
-    if "amplitude" in m:
-        try:
-            kwargs["amplitude"] = float(m["amplitude"])
-        except ValueError:
-            raise ConfigError(f"amplitude: expected a number")
     if "seq_sets" in m:
         v = m["seq_sets"].strip()
         kwargs["seq_sets"] = v if v in ("auto", "per_tx") else _parse_int("seq_sets", v)
@@ -148,7 +143,6 @@ def _effective_mapping(config, bk_list, l_list):
         "seq_sets": str(config.seq_sets),
         "n_prime": str(config.n_prime),
         "max_passes": str(config.max_passes),
-        "amplitude": repr(float(config.amplitude)),
     }
     if bk_list is not None:
         m["bk_list"] = ",".join(str(v) for v in bk_list)
@@ -201,13 +195,13 @@ def _print_audit(rows, out):
 # selftest: quick invariant suites over randomized instances
 
 
-def _random_instance(rng, M, alpha, L, snr_db, amplitude=1.0):
+def _random_instance(rng, M, alpha, L, snr_db):
     C = int(round(M / alpha))
     S = seqgen.gen_sparse_matrix(C, M, L, rng)
-    A = np.full(M, amplitude)
+    A = np.ones(M)
     xc = seqgen.crosscorrelation(S, A)
     b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
-    params = ChannelParams(A, snr_to_sigma(snr_db, amplitude))
+    params = ChannelParams(A, snr_to_sigma(snr_db))
     y = matched_filter(S, transmit(S, params, b, rng))
     return S, xc, A, b, y
 

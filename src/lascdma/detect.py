@@ -90,7 +90,6 @@ class DetectorRun:
     additions: int
     passes: int
     overhead_additions: int
-    likelihood_trace: list = None
     flip_log: list = None
 
 
@@ -143,13 +142,12 @@ class _Lockstep:
     flipped column is gathered from its own CrossCorr once for the whole
     run; no H is copied.  Bits, gradients and negated H diagonals are
     (K, Mp) arrays, Mp being M rounded up to whole blocks of _BLOCK bits;
-    the padding never violates.  The recording switches of las_run act per
-    flip event; only las_run sets them, with K = 1.
+    the padding never violates.  The debug switches of las_run act per flip
+    event; only las_run sets them, with K = 1.
     """
 
     def __init__(self, y, xcorrs, amplitudes, b0, problem,
-                 record_likelihood=False, record_flips=False,
-                 check_gradient=False):
+                 record_flips=False, check_gradient=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         b0 = np.atleast_2d(np.asarray(b0))
         A = np.asarray(amplitudes, dtype=np.float64)
@@ -164,11 +162,10 @@ class _Lockstep:
         self.M = M
         self.nb = -(-M // _BLOCK)
         self.Mp = Mp = self.nb * _BLOCK
-        self.ay = A * y
+        self.y, self.A = y, A
         self.xcorrs = xcorrs
-        b = b0.astype(np.float64)
-        g0 = np.stack([ay - xc.h_matvec(bp)
-                       for ay, xc, bp in zip(self.ay, xcorrs, b)])
+        g0 = np.stack([initial_gradient(bp, yp, xc, A)
+                       for yp, xc, bp in zip(y, xcorrs, b0)])
         b = b0.astype(np.int8)
         # distinct CrossCorr objects are the gather sources
         index = {}
@@ -195,26 +192,17 @@ class _Lockstep:
         self.additions = np.zeros(K, dtype=np.int64)
         self.passes = np.zeros(K, dtype=np.int64)
         self.check_gradient = check_gradient
-        self.trace = [self.omega(0)] if record_likelihood else None
         self.flip_log = [] if record_flips else None
-        self.hooked = record_likelihood or record_flips or check_gradient
-
-    def omega(self, row):
-        b = self.B[row, :self.M]
-        p = self.problem[row]
-        return float(b @ self.ay[p]
-                     - 0.5 * (b @ self.xcorrs[p].h_matvec(b)))
+        self.hooked = record_flips or check_gradient
 
     def _after_flips(self, row, flipped):
-        if self.trace is not None:
-            self.trace.append(self.omega(row))
         if self.flip_log is not None:
             self.flip_log.append((int(self.steps[row]),
                                   tuple(int(i) for i in flipped)))
         if self.check_gradient:
             p = self.problem[row]
-            b = self.B[row, :self.M]
-            direct = self.ay[p] - self.xcorrs[p].h_matvec(b)
+            direct = initial_gradient(self.B[row, :self.M], self.y[p],
+                                      self.xcorrs[p], self.A)
             err = float(np.max(np.abs(self.G[row, :self.M] - direct)))
             if err > 1e-9:
                 raise AssertionError(
@@ -423,7 +411,7 @@ def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
 
 
 def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
-            record_likelihood=False, record_flips=False, check_gradient=False):
+            record_flips=False, check_gradient=False):
     """Run one LAS detector to a fixed point: the one-row case of the
     lockstep machinery.
 
@@ -438,8 +426,7 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
     st = _Lockstep(np.asarray(y)[None], [xcorr], amplitudes,
-                   np.asarray(b0)[None], [0], record_likelihood,
-                   record_flips, check_gradient)
+                   np.asarray(b0)[None], [0], record_flips, check_gradient)
     row = np.zeros(1, dtype=np.int64)
     overhead = xcorr.nnz  # initial gradient work
 
@@ -472,7 +459,6 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
         additions=int(st.additions[0]),
         passes=int(st.passes[0]),
         overhead_additions=overhead,
-        likelihood_trace=st.trace,
         flip_log=st.flip_log,
     )
 
@@ -518,18 +504,3 @@ def gml_exhaustive(y, xcorr, amplitudes):
             best_bits = B[i].astype(np.int8)
     return best_bits, best_val
 
-
-def write_trace_csv(run, fp):
-    """Dump a recorded run trace as CSV: step, flipped bits, Omega, additions.
-
-    Requires the run to have been made with record_flips (and optionally
-    record_likelihood for the omega column).
-    """
-    if run.flip_log is None:
-        raise ValueError("run was not recorded with record_flips=True")
-    fp.write("step,flipped,omega,additions\n")
-    trace = run.likelihood_trace
-    for i, (step, flipped) in enumerate(run.flip_log):
-        om = f"{trace[i + 1]:.12g}" if trace is not None else ""
-        fp.write(f"{step},{';'.join(str(b) for b in flipped)},{om},\n")
-    fp.write(f"{run.steps},,,{run.additions}\n")

@@ -104,7 +104,6 @@ class ExperimentConfig:
     seq_sets: object = "auto"
     n_prime: int = 10
     max_passes: int = 100
-    amplitude: float = 1.0
     experiment: str = "run"
 
     @property
@@ -163,11 +162,6 @@ class ExperimentConfig:
             raise ConfigError("max_passes must be >= 1")
         if self.n_prime < 0:
             raise ConfigError("n_prime must be >= 0")
-        if not (self.amplitude > 0
-                and 0 < self.amplitude * self.amplitude < math.inf):
-            raise ConfigError(
-                "amplitude must be > 0 and finite, with a finite nonzero square"
-            )
         if self.seq_sets not in ("auto", "per_tx"):
             try:
                 n = int(self.seq_sets)
@@ -181,7 +175,7 @@ class ExperimentConfig:
             if math.isnan(s):
                 raise ConfigError("snr_db must not be NaN")
             try:
-                snr_to_sigma(s, self.amplitude)
+                snr_to_sigma(s)
             except ValueError as e:
                 raise ConfigError(str(e))
         dets = self.normalized_detectors()
@@ -296,75 +290,81 @@ def _draw(ctx, set_idx, trial_idx):
 
 def _detect(ctx, drawn):
     """Run every detector on drawn transmissions; the LAS detectors of all of
-    them run as rows of one lockstep kernel call.  Returns (counts, audit)
-    per transmission; counts holds (errors, additions, passes, unconverged)
-    per detector."""
+    them run as rows of one lockstep kernel call.
+
+    Returns (counts, audit): counts[t, d] holds (errors, additions, passes,
+    unconverged) of detector d on transmission t, and audit[t, a] holds
+    (equals the GML decision, likelihood above GML's) of audit detector a.
+    """
+    sent, y, xcs = zip(*drawn)
+    b, y = np.stack(sent), np.stack(y)
     las = [d for d in ctx.detectors if d in LML_DETECTORS]
-    b_mf = [mf_detect(y) for _, y, _ in drawn]
+    counts = np.zeros((len(drawn), len(ctx.detectors), 4), dtype=np.int64)
+    decided = np.empty((len(drawn), len(ctx.detectors), ctx.M), dtype=np.int8)
+    b_mf = np.stack([mf_detect(y_t) for y_t in y])
     if las:
         runs = las_lockstep(
-            np.stack([y for _, y, _ in drawn]), [xc for _, _, xc in drawn],
-            ctx.amplitudes, np.stack(b_mf),
+            y, xcs, ctx.amplitudes, b_mf,
             n_prime=[0 if d == "SLAS" else ctx.n_prime for d in las] * len(drawn),
             max_passes=ctx.max_passes,
             problem=np.repeat(np.arange(len(drawn)), len(las)),
         )
-    out = []
-    for i, (b, y, xc) in enumerate(drawn):
-        counts = []
-        decided = {}
-        for det in ctx.detectors:
-            adds = passes = unconverged = 0
-            if det == "MF":
-                dec = b_mf[i]
-            elif det in LML_DETECTORS:
-                r = i * len(las) + las.index(det)
-                dec = runs.bits[r]
-                adds, passes = int(runs.additions[r]), int(runs.passes[r])
-                unconverged = int(not runs.converged[r])
-            else:  # GML
-                dec, _ = gml_exhaustive(y, xc, ctx.amplitudes)
-            decided[det] = dec
-            counts.append((int(np.count_nonzero(dec != b)), adds, passes,
-                           unconverged))
+    for d, det in enumerate(ctx.detectors):
+        if det == "MF":
+            decided[:, d] = b_mf
+        elif det in LML_DETECTORS:
+            rows = slice(las.index(det), None, len(las))
+            decided[:, d] = runs.bits[rows]
+            counts[:, d, 1] = runs.additions[rows]
+            counts[:, d, 2] = runs.passes[rows]
+            counts[:, d, 3] = ~runs.converged[rows]
+        else:  # GML
+            decided[:, d] = [gml_exhaustive(y_t, xc, ctx.amplitudes)[0]
+                             for y_t, xc in zip(y, xcs)]
+    counts[:, :, 0] = np.count_nonzero(decided != b[:, None], axis=2)
 
-        audit = None
-        if ctx.audit_detectors:
-            gml_bits = decided["GML"]
-            om_gml = likelihood(gml_bits, y, xc, ctx.amplitudes)
+    audit = np.zeros((len(drawn), len(ctx.audit_detectors), 2), dtype=np.int64)
+    if ctx.audit_detectors:
+        gml = decided[:, ctx.detectors.index("GML")]
+        audited = decided[:, [ctx.detectors.index(d)
+                              for d in ctx.audit_detectors]]
+        audit[:, :, 0] = (audited == gml[:, None]).all(axis=2)
+        for t in range(len(drawn)):
+            om_gml = likelihood(gml[t], y[t], xcs[t], ctx.amplitudes)
             tol = 1e-9 * (1.0 + abs(om_gml))
-            audit = tuple(
-                (
-                    int(np.array_equal(decided[det], gml_bits)),
-                    int(likelihood(decided[det], y, xc, ctx.amplitudes)
-                        > om_gml + tol),
-                )
-                for det in ctx.audit_detectors
-            )
-        out.append((tuple(counts), audit))
-    return out
+            audit[t, :, 1] = [
+                likelihood(dec, y[t], xcs[t], ctx.amplitudes) > om_gml + tol
+                for dec in audited[t]
+            ]
+    return counts, audit
 
 
 def _run_trials(ctx, items):
-    """Run the trials [(set index, trial index), ...] and return (counts,
-    audit) per trial, in order.
+    """Run the trials [(set index, trial index), ...] and return the
+    concatenated (counts, audit) blocks of _detect, one entry per trial, in
+    order.
 
     Transmissions are drawn one by one and detected in lockstep groups.  A
     group closes once its kernel rows (and, per transmission, its own H)
     hold _LOCKSTEP_ENTRIES array entries, which bounds memory.  A trial's
     result does not depend on its group."""
     n_las = sum(d in LML_DETECTORS for d in ctx.detectors)
-    out, group, held = [], [], 0
+    blocks, group, held = [], [], 0
     for set_idx, trial_idx in items:
         drawn = _draw(ctx, set_idx, trial_idx)
         group.append(drawn)
         held += n_las * ctx.M + (drawn[2].nnz if ctx.matrices is None else 0)
         if held >= _LOCKSTEP_ENTRIES:
-            out.extend(_detect(ctx, group))
+            blocks.append(_detect(ctx, group))
             group, held = [], 0
     if group:
-        out.extend(_detect(ctx, group))
-    return out
+        blocks.append(_detect(ctx, group))
+    return _concat(blocks)
+
+
+def _concat(blocks):
+    """One (counts, audit) pair from a list of them, in order."""
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 _WORKER_CTX = None
@@ -403,21 +403,12 @@ def _next_batch_trials(min_bit_errors, max_bits, bits_per_round, trials_done,
     return max(1, min(n, remaining, _MAX_BATCH_TRIALS))
 
 
-def _resolve_sets(config, L, matrices):
-    """Returns (n_sets, prepared) honoring policy and any injected matrices;
-    prepared is a list of (SequenceMatrix, CrossCorr), or None for a fresh
-    matrix per transmission."""
-    M, C = config.M, config.C
-    amplitudes = np.full(M, config.amplitude)
-    if matrices is not None:
-        prepared = []
-        for S in matrices:
-            if S.n_bits != M or S.n_chips != C or S.n_nonzero != L:
-                raise ConfigError(
-                    "injected matrix shape does not match the configuration"
-                )
-            prepared.append((S, crosscorrelation(S, amplitudes)))
-        return len(prepared), prepared
+def _resolve_sets(config):
+    """Returns (n_sets, prepared) under the sequence-set policy; prepared is
+    a list of (SequenceMatrix, CrossCorr), or None for a fresh matrix per
+    transmission."""
+    M, C, L = config.M, config.C, config.resolved_L()
+    amplitudes = np.ones(M)
     policy = config.seq_sets
     if policy == "auto":
         policy = "per_tx" if M <= PER_TX_MAX_BITS else DEFAULT_FIXED_SETS
@@ -432,12 +423,13 @@ def _resolve_sets(config, L, matrices):
     return n_sets, prepared
 
 
-def _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done, censored):
+def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
+                censored):
     label = f"{config.experiment}[seed={config.seed}]"
     L_label = "dense" if config.L == "dense" else ctx.L
 
     def estimate(det, seq_set, counts, trials):
-        err, adds, passes, unconverged = counts
+        err, adds, passes, unconverged = counts.tolist()
         bits = trials * ctx.M
         lo, hi = wilson_interval(err, bits)
         return BerEstimate(
@@ -454,15 +446,16 @@ def _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done, censored):
     for d_idx, det in enumerate(ctx.detectors):
         per_set = [
             estimate(det, "per_tx" if ctx.matrices is None else str(s),
-                     acc[s][d_idx], trials_done)
+                     tally[s, d_idx], trials_done)
             for s in range(n_sets)
         ]
         if n_sets > 1:
-            pooled = [sum(col) for col in zip(*(row[d_idx] for row in acc))]
-            per_set.append(estimate(det, "avg", pooled, trials_done * n_sets))
+            per_set.append(estimate(det, "avg", tally[:, d_idx].sum(axis=0),
+                                    trials_done * n_sets))
         # the audit goes on the aggregate row: the avg row, or the only one
         if det in ctx.audit_detectors and trials_done:
-            matches, viols = audit_acc[ctx.audit_detectors.index(det)]
+            matches, viols = audit_tally[
+                ctx.audit_detectors.index(det)].tolist()
             per_set[-1].gml_match_rate = matches / (trials_done * n_sets)
             per_set[-1].gml_omega_violations = viols
         rows.extend(per_set)
@@ -472,15 +465,14 @@ def _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done, censored):
 def _run_point(config, snr_db, workers, n_sets, prepared):
     M, C, L = config.M, config.C, config.resolved_L()
     detectors = config.normalized_detectors()
-    amplitudes = np.full(M, config.amplitude)
-    sigma = snr_to_sigma(snr_db, config.amplitude)
+    amplitudes = np.ones(M)
     audit_detectors = tuple(
         d for d in detectors if d in LML_DETECTORS
     ) if "GML" in detectors else ()
     ctx = _PointCtx(
         M=M, C=C, L=L, snr_db=snr_db,
         detectors=detectors, amplitudes=amplitudes,
-        params=ChannelParams(amplitudes, sigma),
+        params=ChannelParams(amplitudes, snr_to_sigma(snr_db)),
         n_prime=config.n_prime, max_passes=config.max_passes,
         matrices=prepared, audit_detectors=audit_detectors,
         trial_keys=tuple(
@@ -488,30 +480,12 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
         ),
     )
 
-    n_det = len(detectors)
-    acc = [[(0, 0, 0, 0) for _ in range(n_det)] for _ in range(n_sets)]
-    audit_acc = [(0, 0) for _ in audit_detectors]
+    # per set and detector: (errors, additions, passes, unconverged); per
+    # audit detector: (matches, violations)
+    tally = np.zeros((n_sets, len(detectors), 4), dtype=np.int64)
+    audit_tally = np.zeros((len(audit_detectors), 2), dtype=np.int64)
     trials_done = 0
     bits_per_round = M * n_sets
-
-    def merge(batch_args, results):
-        nonlocal acc, audit_acc
-        for (set_idx, _), (counts, audit) in zip(batch_args, results):
-            row = acc[set_idx]
-            for d in range(n_det):
-                row[d] = tuple(x + y for x, y in zip(row[d], counts[d]))
-            if audit is not None:
-                audit_acc = [
-                    (m + am, v + av)
-                    for (m, v), (am, av) in zip(audit_acc, audit)
-                ]
-
-    def pooled():
-        bits = trials_done * bits_per_round
-        errs = tuple(
-            sum(acc[s][d][0] for s in range(n_sets)) for d in range(n_det)
-        )
-        return bits, errs
 
     pool = None
     try:
@@ -520,10 +494,12 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
                 workers, initializer=_worker_init, initargs=(ctx,)
             )
         while True:
-            bits, errs = pooled()
+            errs = tally[:, :, 0].sum(axis=0).tolist()
+            if 0 < config.min_bit_errors <= min(errs):
+                break
             n = _next_batch_trials(
                 config.min_bit_errors, config.max_bits, bits_per_round,
-                trials_done, bits, errs,
+                trials_done, trials_done * bits_per_round, errs,
             )
             if n == 0:
                 break
@@ -534,43 +510,35 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
             ]
             if pool is not None:
                 chunk = max(1, len(batch_args) // (workers * 4))
-                parts = pool.map(_worker_trials, [
+                counts, audit = _concat(pool.map(_worker_trials, [
                     batch_args[i:i + chunk]
                     for i in range(0, len(batch_args), chunk)
-                ])
-                results = [res for part in parts for res in part]
+                ]))
             else:
-                results = _run_trials(ctx, batch_args)
-            merge(batch_args, results)
+                counts, audit = _run_trials(ctx, batch_args)
+            np.add.at(tally, [s for s, _ in batch_args], counts)
+            audit_tally += audit.sum(axis=0)
             trials_done += n
-            if config.min_bit_errors > 0:
-                _, errs = pooled()
-                if all(e >= config.min_bit_errors for e in errs):
-                    break
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
-    _, errs = pooled()
-    censored = config.min_bit_errors > 0 and any(
-        e < config.min_bit_errors for e in errs
-    )
-    return _point_rows(config, ctx, n_sets, acc, audit_acc, trials_done,
+    # errs is current: the loop leaves only right after computing it
+    censored = 0 < config.min_bit_errors and min(errs) < config.min_bit_errors
+    return _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
                        censored)
 
 
-def run_experiment(config, workers=1, matrices=None):
+def run_experiment(config, workers=1):
     """Run one experiment (all its SNR points) and return BerEstimate rows.
 
-    matrices, when given, injects fixed spreading matrices (overriding the
-    sequence-set policy); they must match the configured geometry.  Fixed
-    sets are drawn once and serve every SNR point.
+    Fixed sets are drawn once and serve every SNR point.
     """
     config.validate()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    n_sets, prepared = _resolve_sets(config, config.resolved_L(), matrices)
+    n_sets, prepared = _resolve_sets(config)
     rows = []
     for snr in config.snr_points():
         rows.extend(_run_point(config, snr, workers, n_sets, prepared))
@@ -585,6 +553,8 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     before any runs: an infeasible one becomes a failure ("L=...,M=...",
     InfeasibleError) and the rest still run; any other ConfigError raises.
     """
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     points, failures = [], []
     for L in l_list or (config.L,):
         for M in bk_list or (config.M,):

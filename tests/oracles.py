@@ -36,6 +36,17 @@ def omega_dense(b, y, Hd, A):
     return float(b @ (A * y) - 0.5 * (b @ Hd @ b))
 
 
+def replay_omega(b0, flip_log, y, Hd, A):
+    """Omega at b0 and after each (step, flipped bits) event of a flip log,
+    every value recomputed from the dense H."""
+    b = np.asarray(b0, dtype=float).copy()
+    trace = [omega_dense(b, y, Hd, A)]
+    for _, flipped in flip_log:
+        b[list(flipped)] *= -1
+        trace.append(omega_dense(b, y, Hd, A))
+    return trace
+
+
 def all_bit_vectors(M):
     """All 2^M vectors in lexicographic order with +1 < -1, position 0 most
     significant (matches the package's tie-break order)."""

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +12,6 @@ from lascdma.detect import (
     likelihood,
     mf_detect,
     slas_detect,
-    write_trace_csv,
     wslas_detect,
 )
 from lascdma.seqgen import CrossCorr, crosscorrelation, gen_sparse_matrix
@@ -150,21 +147,48 @@ def test_two_user_hand_trace():
     g0 = initial_gradient(b0, y, xc, A)
     assert np.max(np.abs(g0 - np.array([-1.3, -3.0]))) < 1e-12
 
-    run = slas_detect(y, xc, A, b0, record_flips=True, record_likelihood=True,
-                      check_gradient=True)
+    run = slas_detect(y, xc, A, b0, record_flips=True, check_gradient=True)
     assert run.converged
     assert np.array_equal(run.bits, [1, -1])
     assert run.flip_log == [(1, (0,)), (2, (1,)), (3, (0,))]
     assert run.flips == 3
     assert run.additions == 6  # each flip touches a full column of 2
     assert run.steps == 5      # three flip steps + 2-step verification cycle
-    trace = run.likelihood_trace
+    trace = oracles.replay_omega(b0, run.flip_log, y, xc.dense_h(), A)
     assert trace == pytest.approx([-2.8, -2.2, -0.2, 1.2], abs=1e-12)
     # strict ascent and exhaustive confirmation over all 4 vectors
     assert all(b > a for a, b in zip(trace, trace[1:]))
     omegas = {tuple(bb.astype(int)): likelihood(bb, y, xc, A)
               for bb in oracles.all_bit_vectors(2)}
     assert max(omegas, key=omegas.get) == (1, -1)
+
+
+@pytest.mark.parametrize("c", [0.5, 4.0])
+def test_equal_power_scale_invariance(c):
+    # amplitudes and noise scaled by c scale y by c, and H, the gradient and
+    # every threshold by c^2 (exactly, for a power of two): no decision or
+    # count changes, so an equal-power system depends on the SNR alone
+    for seed in range(6):
+        for L in (4, 80):
+            out = []
+            for a in (1.0, c):
+                rng = np.random.default_rng(seed)
+                S = gen_sparse_matrix(80, 64, L, rng)
+                A = np.full(64, a)
+                xc = crosscorrelation(S, A)
+                b = (rng.integers(0, 2, 64, dtype=np.int8) * 2 - 1).astype(np.int8)
+                params = ChannelParams(A, snr_to_sigma(4.0, a))
+                y = matched_filter(S, transmit(S, params, b, rng))
+                b0 = mf_detect(y)
+                out.append((b0, slas_detect(y, xc, A, b0),
+                            wslas_detect(y, xc, A, b0, n_prime=3)))
+            (mf_1, *las_1), (mf_c, *las_c) = out
+            assert np.array_equal(mf_1, mf_c)
+            for r1, rc in zip(las_1, las_c):
+                assert r1.flips > 0
+                assert np.array_equal(r1.bits, rc.bits)
+                assert ((r1.additions, r1.passes, r1.steps)
+                        == (rc.additions, rc.passes, rc.steps))
 
 
 def test_converged_sequential_runs_are_local_maxima():
@@ -189,11 +213,12 @@ def test_monotone_ascent_and_termination(schedule):
     for seed in range(15):
         rng = np.random.default_rng(seed)
         _, xc, A, _, y = helpers.make_instance(rng, 16, 0.8, 4, 6.0)
-        run = las_run(y, xc, A, schedule, mf_detect(y),
-                      record_likelihood=True, check_gradient=True)
+        b0 = mf_detect(y)
+        run = las_run(y, xc, A, schedule, b0,
+                      record_flips=True, check_gradient=True)
         assert run.converged
         assert run.flips <= 2 ** 16
-        trace = run.likelihood_trace
+        trace = oracles.replay_omega(b0, run.flip_log, y, xc.dense_h(), A)
         # Omega strictly increases at every flip event
         assert all(b > a for a, b in zip(trace, trace[1:]))
         # and the final vector is a 1-local maximum
@@ -473,17 +498,3 @@ def test_slas_never_decreases_from_start():
         run = slas_detect(y, xc, A, b0)
         assert likelihood(run.bits, y, xc, A) >= likelihood(b0, y, xc, A) - 1e-12
 
-
-def test_trace_csv_dump():
-    xc = xcorr_from_dense([[1.0, 0.5], [0.5, 1.0]])
-    y = np.array([0.2, -1.5])
-    run = slas_detect(y, xc, np.ones(2), np.array([1, 1], dtype=np.int8),
-                      record_flips=True, record_likelihood=True)
-    buf = io.StringIO()
-    write_trace_csv(run, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "step,flipped,omega,additions"
-    assert len(lines) == 2 + len(run.flip_log)
-    run2 = slas_detect(y, xc, np.ones(2), np.array([1, 1], dtype=np.int8))
-    with pytest.raises(ValueError):
-        write_trace_csv(run2, io.StringIO())
