@@ -7,6 +7,7 @@ for exact replay with `run`.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ def _parse_config_file(path):
     mapping = {}
     try:
         text = open(path, encoding="utf-8").read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -157,6 +158,18 @@ def _dump_config(mapping, path):
             f.write(f"{key} = {value}\n")
 
 
+def _check_writable(path):
+    """ConfigError unless path can be opened for writing; an existing file
+    keeps its contents, and no new file is left behind."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}")
+    if not existed:
+        os.remove(path)
+
+
 def _warn_nonconverged(rows, err):
     """One line per point whose LAS runs hit max_passes unconverged."""
     points = {}
@@ -263,7 +276,7 @@ def _st_crosscorr_dense(rng):
         S = seqgen.gen_sparse_matrix(C, M, L, rng)
         xc = seqgen.crosscorrelation(S, np.full(M, 1.0))
         Sd = S.dense_matrix
-        if np.max(np.abs(xc.R.toarray() - Sd.T @ Sd)) > 1e-12:
+        if np.max(np.abs(xc.dense_h() - Sd.T @ Sd)) > 1e-12:  # A = 1: H = R
             return f"instance {i}: sparse R deviates from the dense product"
     return None
 
@@ -278,7 +291,7 @@ def _st_noise_free_identity(rng):
         xc = seqgen.crosscorrelation(S, A)
         b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
         y = matched_filter(S, transmit(S, ChannelParams(A, 0.0), b, rng))
-        ref = xc.R @ (A * b).astype(np.float64)
+        ref = xc.h_matvec((A * b).astype(np.float64))  # A = 1: H = R
         if np.max(np.abs(y - ref)) > 1e-10:
             return f"instance {i}: matched filter deviates from R(Ab)"
     return None
@@ -356,12 +369,14 @@ def main(argv=None):
             mapping["seed"] = str(args.seed)
 
         config, bk_list, l_list = _config_from_mapping(mapping)
+        out_path = args.out or f"{args.command}.csv"
+        _check_writable(out_path)
         if args.dump_config:
+            _check_writable(args.dump_config)
             _dump_config(_effective_mapping(config, bk_list, l_list),
                          args.dump_config)
 
         rows, failures = sweep(config, bk_list, l_list, workers=args.workers)
-        out_path = args.out or f"{args.command}.csv"
         write_csv(rows, out_path)
         out.write(f"wrote {len(rows)} rows to {out_path}\n")
         _print_audit(rows, out)

@@ -156,8 +156,6 @@ class ExperimentConfig:
             raise ConfigError("min_bit_errors must be >= 0")
         if self.max_bits < self.M:
             raise ConfigError("max_bits must allow at least one transmission")
-        if self.min_bit_errors == 0 and self.max_bits <= 0:
-            raise ConfigError("trial policy would run no trials")
         if self.max_passes < 1:
             raise ConfigError("max_passes must be >= 1")
         if self.n_prime < 0:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass
@@ -91,20 +90,18 @@ class SequenceMatrix:
 
 @dataclass
 class CrossCorr:
-    """Crosscorrelation R = S^T S and its amplitude-weighted form H = A R A.
+    """The amplitude-weighted crosscorrelation H = A R A, with R = S^T S.
 
-    Both share one full symmetric CSR structure (per-row column/value lists,
-    columns ascending within a row): `indptr`/`indices` with values `r_data`
-    and `h_data`; `diag` holds the H diagonal (A_k^2 for unit-norm
-    columns).  Structural entries are exactly the column pairs sharing chip
-    support, including any whose value cancels to 0.0.  Immutable once
-    built; scipy views are materialized lazily.
+    One full symmetric CSR structure (per-row column/value lists, columns
+    ascending within a row): `indptr`/`indices` with values `h_data`;
+    `diag` holds the H diagonal (A_k^2 for unit-norm columns).  Structural
+    entries are exactly the column pairs sharing chip support, including
+    any whose value cancels to 0.0.  Immutable once built.
     """
 
     n_bits: int
     indptr: np.ndarray
     indices: np.ndarray
-    r_data: np.ndarray
     h_data: np.ndarray
     diag: np.ndarray
 
@@ -112,23 +109,13 @@ class CrossCorr:
     def nnz(self):
         return int(self.indptr[-1])
 
-    @cached_property
-    def R(self):
-        M = self.n_bits
-        return sp.csr_matrix((self.r_data, self.indices, self.indptr), shape=(M, M))
-
-    @cached_property
-    def H(self):
-        M = self.n_bits
-        return sp.csr_matrix((self.h_data, self.indices, self.indptr), shape=(M, M))
-
     def row(self, k):
         """Nonzero (indices, values) of row k of H (== column k by symmetry)."""
         lo, hi = self.indptr[k], self.indptr[k + 1]
         return self.indices[lo:hi], self.h_data[lo:hi]
 
     def h_matvec(self, x):
-        """H @ x through the raw row lists (no scipy object needed)."""
+        """H @ x through the raw row lists."""
         return np.add.reduceat(self.h_data * x[self.indices], self.indptr[:-1])
 
     def dense_h(self):
@@ -167,7 +154,7 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
 
 
 def crosscorrelation(S, amplitudes):
-    """Build R = S^T S and H = A R A as sparse symmetric structures.
+    """Build H = A R A, with R = S^T S, as a sparse symmetric structure.
 
     The sparse route walks the inverted chip index and emits one product per
     (chip, column pair) incidence, so the cost is sum_c occupancy(c)^2.  When
@@ -224,4 +211,4 @@ def crosscorrelation(S, amplitudes):
         h_data = r_data * A[rows_of] * A[indices]
     diag = h_data[indices == rows_of]
     return CrossCorr(n_bits=M, indptr=indptr, indices=indices,
-                     r_data=r_data, h_data=h_data, diag=diag)
+                     h_data=h_data, diag=diag)

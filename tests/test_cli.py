@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +59,22 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the CLI loads no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, lascdma.cli; print(lascdma.cli.__file__); "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    lines = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.splitlines()
+    assert Path(lines[0]).resolve() == Path(cli.__file__).resolve()
+    assert lines[1] == "[]"
+
+
 def test_preset_deterministic_across_runs_and_workers(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -90,6 +109,29 @@ def test_run_requires_config_keys(tmp_path, capsys):
     cfg.write_text("M = 16\nalpha\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    cfg.write_bytes(b"M = 16\nalpha = 0.8\nexperiment = \xff\n")  # not UTF-8
+    assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_unwritable_path_exits_2_before_any_point(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a point was simulated")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    missing = tmp_path / "no-such-dir"
+    out = tmp_path / "x.csv"
+    assert main(["fig1", *SMALL_FIG1, "--out", str(out),
+                 "--dump-config", str(missing / "x.cfg")]) == 2
+    assert f"config error: cannot write {missing}" in capsys.readouterr().err
+    assert main(["fig1", *SMALL_FIG1, "--out", str(missing / "x.csv")]) == 2
+    assert f"config error: cannot write {missing}" in capsys.readouterr().err
+    assert main(["fig1", *SMALL_FIG1, "--out", str(tmp_path)]) == 2
+    assert f"config error: cannot write {tmp_path}" in capsys.readouterr().err
+    assert not out.exists() and not missing.exists()
+    out.write_text("kept")  # an existing CSV keeps its bytes
+    assert main(["fig1", *SMALL_FIG1, "--out", str(out),
+                 "--dump-config", str(missing / "x.cfg")]) == 2
+    assert out.read_text() == "kept"
 
 
 def test_bad_set_override():

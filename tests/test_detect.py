@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lascdma.channel import ChannelParams, matched_filter, snr_to_sigma, transmit
 from lascdma.detect import (
@@ -20,16 +19,14 @@ import helpers
 import oracles
 
 
-def xcorr_from_dense(Hd, A=None):
+def xcorr_from_dense(Hd):
     """CrossCorr with full structure from an explicit symmetric matrix."""
     Hd = np.asarray(Hd, dtype=float)
     M = Hd.shape[0]
-    A = np.ones(M) if A is None else np.asarray(A, float)
-    Rd = Hd / np.outer(A, A)
     indptr = np.arange(M + 1, dtype=np.int64) * M
     indices = np.tile(np.arange(M, dtype=np.int32), M)
     return CrossCorr(n_bits=M, indptr=indptr, indices=indices,
-                     r_data=Rd.ravel(), h_data=Hd.ravel(), diag=Hd.diagonal().copy())
+                     h_data=Hd.ravel(), diag=Hd.diagonal().copy())
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +43,7 @@ def test_likelihood_single_user_values():
 
 def test_likelihood_zero_observation_orthogonal():
     A = np.array([1.0, 2.0, 0.5])
-    xc = xcorr_from_dense(np.diag(A ** 2), A)
+    xc = xcorr_from_dense(np.diag(A ** 2))
     y = np.zeros(3)
     expect = -0.5 * float((A ** 2).sum())
     for bits in oracles.all_bit_vectors(3):
@@ -79,7 +76,7 @@ def test_likelihood_argmax_equals_chip_domain_minimizer():
 def test_initial_gradient_orthogonal_closed_form():
     rng = np.random.default_rng(0)
     A = rng.uniform(0.5, 2.0, 6)
-    xc = xcorr_from_dense(np.diag(A ** 2), A)
+    xc = xcorr_from_dense(np.diag(A ** 2))
     y = rng.normal(size=6)
     b0 = mf_detect(y)
     g = initial_gradient(b0, y, xc, A)
@@ -427,7 +424,7 @@ def test_gml_single_bit():
 def test_gml_orthogonal_decouples_to_signs():
     rng = np.random.default_rng(2)
     A = rng.uniform(0.5, 2.0, 8)
-    xc = xcorr_from_dense(np.diag(A ** 2), A)
+    xc = xcorr_from_dense(np.diag(A ** 2))
     y = rng.normal(size=8)
     bits, _ = gml_exhaustive(y, xc, A)
     assert np.array_equal(bits, np.where(y >= 0, 1, -1))
