@@ -46,7 +46,8 @@ _PRESETS = {
 def _parse_config_file(path):
     mapping = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -354,6 +355,8 @@ def main(argv=None):
     out = sys.stdout
     try:
         if args.command == "selftest":
+            if not 0 <= args.seed < 2 ** 64:  # as ExperimentConfig.validate
+                raise ConfigError("seed must be a 64-bit unsigned integer")
             return 0 if _selftest(args.seed, out) else 1
 
         if args.command == "run":

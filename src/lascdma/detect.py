@@ -136,14 +136,13 @@ class _Lockstep:
     """Working state of K detector runs advanced together.
 
     Row r runs on problem problem[r] = (y, its CrossCorr, start vector); rows
-    of one problem share its initial gradient.  Internally the rows are
-    sorted by CrossCorr object (internal row i is caller row order[i]), so
-    any ordered subset of rows splits into one run per CrossCorr, and a
-    flipped column is gathered from its own CrossCorr once for the whole
-    run; no H is copied.  Bits, gradients and negated H diagonals are
-    (K, Mp) arrays, Mp being M rounded up to whole blocks of _BLOCK bits;
-    the padding never violates.  The debug switches of las_run act per flip
-    event; only las_run sets them, with K = 1.
+    of one problem share its initial gradient.  Rows stay in the caller's
+    order: a flipped column is gathered from its own CrossCorr once per run
+    of adjacent rows sharing it, and no H is copied, so any row order is
+    exact and rows of one H kept adjacent run fastest.  Bits, gradients and
+    negated H diagonals are (K, Mp) arrays, Mp being M rounded up to whole
+    blocks of _BLOCK bits; the padding never violates.  The debug switches
+    of las_run act per flip event; only las_run sets them, with K = 1.
     """
 
     def __init__(self, y, xcorrs, amplitudes, b0, problem,
@@ -157,7 +156,11 @@ class _Lockstep:
             raise ValueError("y, amplitudes and b0 must all have length M")
         if not np.all(np.abs(b0) == 1):
             raise ValueError("initial bits must be +/-1")
-        problem = np.asarray(problem, dtype=np.int64)
+        problem = np.asarray(problem)
+        if (problem.ndim != 1 or problem.dtype.kind not in "iu"
+                or np.any((problem < 0) | (problem >= P))):
+            raise ValueError(f"problem must hold integers in [0, {P})")
+        self.problem = problem = problem.astype(np.int64)
         self.K = K = problem.size
         self.M = M
         self.nb = -(-M // _BLOCK)
@@ -172,15 +175,13 @@ class _Lockstep:
         src_of = np.array([index.setdefault(id(xc), len(index))
                            for xc in xcorrs])
         self.srcs = list({id(xc): xc for xc in xcorrs}.values())
-        self.order = np.argsort(src_of[problem], kind="stable")
-        self.problem = problem[self.order]
-        self.src = src_of[self.problem]
+        self.src = src_of[problem]
         self.full = np.array([xc.nnz == M * M for xc in self.srcs])[self.src]
         self.B = np.zeros((K, Mp), dtype=np.int8)
         self.G = np.zeros((K, Mp))
         self.NT = np.zeros((K, Mp))
-        self.B[:, :M] = b[self.problem]
-        self.G[:, :M] = g0[self.problem]
+        self.B[:, :M] = b[problem]
+        self.G[:, :M] = g0[problem]
         self.NT[:, :M] = -np.stack([xc.diag for xc in self.srcs])[self.src]
         self.V = np.zeros((K, Mp), dtype=bool)  # b_k g_k < -H_kk
         self.V3 = self.V.reshape(K, self.nb, _BLOCK)
@@ -209,14 +210,9 @@ class _Lockstep:
                     f"incremental gradient drifted from recomputation by {err:.3e}"
                 )
 
-    def rows_in_caller_order(self, values):
-        out = np.empty_like(values)
-        out[self.order] = values
-        return out
-
     def _by_source(self, rows):
-        """(CrossCorr, slice of rows) for each run of rows that share one;
-        rows is an ordered subset of the (source-sorted) rows."""
+        """(CrossCorr, slice of rows) for each run of adjacent entries of
+        rows (row indices, in any order) that share one."""
         if len(self.srcs) == 1:
             return [(self.srcs[0], slice(None))]
         src = self.src[rows]
@@ -384,12 +380,13 @@ def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
                  problem=None):
     """Run K SLAS/WSLAS detectors in lockstep and return LockstepRuns.
 
-    Problem p is (y[p], xcorrs[p], b0[p]); rows sharing an H pass the same
-    CrossCorr object.  Row r runs on problem problem[r] (default: row p on
-    problem p): n_prime[r] all-bit steps (0 is SLAS), then the cyclic
-    sequential phase, within max_passes[r] passes.  n_prime and max_passes
-    broadcast over the rows.  Each row's result is exactly that of its own
-    one-row run (las_run), whatever the other rows are.
+    Problem p < P is (y[p], xcorrs[p], b0[p]); rows sharing an H pass the
+    same CrossCorr object.  Row r runs on problem problem[r], an integer in
+    [0, P) (default: row p on problem p): n_prime[r] all-bit steps (0 is
+    SLAS), then the cyclic sequential phase, within max_passes[r] passes.
+    n_prime and max_passes broadcast over the rows.  Each row's result is exactly that of its own
+    one-row run (las_run), whatever the other rows are and their order;
+    rows need not be sorted, but rows of one H kept adjacent run faster.
     """
     if problem is None:
         problem = np.arange(len(xcorrs))
@@ -401,13 +398,10 @@ def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
         raise ValueError("max_passes must be >= 1")
     if np.any(n_prime < 0):
         raise ValueError("n_prime must be >= 0")
-    rows = np.arange(st.K)
-    converged = _ascend(st, rows, n_prime[st.order], max_passes[st.order])
-    out = st.rows_in_caller_order
-    return LockstepRuns(bits=out(st.B[:, :st.M].astype(np.int8)),
-                        converged=out(converged), steps=out(st.steps),
-                        flips=out(st.flips), additions=out(st.additions),
-                        passes=out(st.passes))
+    converged = _ascend(st, np.arange(st.K), n_prime, max_passes)
+    return LockstepRuns(bits=st.B[:, :st.M].astype(np.int8),
+                        converged=converged, steps=st.steps, flips=st.flips,
+                        additions=st.additions, passes=st.passes)
 
 
 def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,

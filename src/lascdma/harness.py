@@ -501,10 +501,11 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
             )
             if n == 0:
                 break
+            # set-major: a fixed set's transmissions are adjacent kernel rows
             batch_args = [
                 (s, t)
-                for t in range(trials_done, trials_done + n)
                 for s in range(n_sets)
+                for t in range(trials_done, trials_done + n)
             ]
             if pool is not None:
                 chunk = max(1, len(batch_args) // (workers * 4))
@@ -603,7 +604,7 @@ def write_csv(rows, fp):
     """Emit estimate rows in the fixed CSV schema (fixed-precision floats,
     so identical results give identical bytes)."""
     if isinstance(fp, (str, Path)):
-        with open(fp, "w") as f:
+        with open(fp, "w", encoding="utf-8") as f:
             write_csv(rows, f)
         return
     fp.write(CSV_HEADER + "\n")

@@ -156,8 +156,9 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
 def crosscorrelation(S, amplitudes):
     """Build H = A R A, with R = S^T S, as a sparse symmetric structure.
 
-    The sparse route walks the inverted chip index and emits one product per
-    (chip, column pair) incidence, so the cost is sum_c occupancy(c)^2.  When
+    The sparse route walks the inverted chip index and emits one sign product
+    per (chip, column pair) incidence, so the cost is sum_c occupancy(c)^2;
+    each R entry is the exact n/L of its integer sign sum n.  When
     2L > C every column pair shares a chip (the structure is full), so the
     product is taken densely instead.
     """
@@ -173,11 +174,9 @@ def crosscorrelation(S, amplitudes):
     if 2 * L > C:
         # every pair overlaps: full structure, dense product for the values
         Sd = S.dense_matrix
-        Rd = Sd.T @ Sd
-        Rd = 0.5 * (Rd + Rd.T)  # exact symmetry regardless of BLAS blocking
         indptr = np.arange(M + 1, dtype=np.int64) * M
         indices = np.tile(np.arange(M, dtype=np.int32), M)
-        r_data = Rd.ravel()
+        r_data = (Sd.T @ Sd).ravel()  # numpy returns S^T S exactly symmetric
     else:
         cptr, cols, csigns = S.chip_index
         counts = np.diff(cptr).astype(np.int64)
@@ -188,17 +187,10 @@ def crosscorrelation(S, amplitudes):
         occ = counts[chip_of]
         ia = cptr[chip_of] + offset // occ
         ib = cptr[chip_of] + offset % occ
-        vals = csigns[ia].astype(np.float64) * csigns[ib] / L
-        # sum duplicate (row, col) pairs; key order gives sorted indices per row
+        # exact integer sign sums per (row, col) key, divided by L once
         key = cols[ia].astype(np.int64) * M + cols[ib]
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        first = np.empty(skey.size, dtype=bool)
-        first[0] = True
-        np.not_equal(skey[1:], skey[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        r_data = np.add.reduceat(vals[order], starts)
-        ukey = skey[starts]
+        ukey, pair = np.unique(key, return_inverse=True)
+        r_data = np.bincount(pair, weights=csigns[ia] * csigns[ib]) / L
         indices = (ukey % M).astype(np.int32)
         indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(ukey // M, minlength=M)))

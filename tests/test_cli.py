@@ -1,10 +1,12 @@
 import csv
+import gc
 import hashlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,13 +61,26 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_cli_import_loads_no_scipy():
-    """numpy is the only runtime dependency: a fresh interpreter that
-    imports the CLI loads no scipy module."""
+def test_selftest_seed_out_of_range_exits_2(capsys):
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["selftest", "--seed", seed]) == 2
+        assert ("config error: seed must be a 64-bit unsigned integer"
+                in capsys.readouterr().err)
+
+
+def _env_with_src():
+    """The environment with this package's src first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the CLI loads no scipy module."""
+    env = _env_with_src()
     probe = ("import sys, lascdma.cli; print(lascdma.cli.__file__); "
              "print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
@@ -111,6 +126,33 @@ def test_run_requires_config_keys(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     cfg.write_bytes(b"M = 16\nalpha = 0.8\nexperiment = \xff\n")  # not UTF-8
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_config_file_is_closed(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("M = 16\nalpha = 0.8\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli._parse_config_file(cfg) == {"M": "16", "alpha": "0.8"}
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    """The config is read as UTF-8, so the CSV that carries its experiment
+    name is written as UTF-8 too, whatever the locale's encoding."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = caf\u00e9\u20ac\nM = 16\nalpha = 0.8\n"
+                   "L = 4\nsnr_db = 6\ndetectors = MF\nmax_bits = 160\n"
+                   "min_bit_errors = 0\n", encoding="utf-8")
+    env = _env_with_src()
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "lascdma.cli", "run", "--config", "c.cfg",
+         "--out", "c.csv"], cwd=tmp_path, env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "c.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows[1].startswith("caf\u00e9\u20ac[seed=0],MF,")
 
 
 def test_unwritable_path_exits_2_before_any_point(tmp_path, capsys, monkeypatch):

@@ -386,7 +386,8 @@ def test_lockstep_row_result_independent_of_its_group():
         alone = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
                              problem=problem[rows])
         assert _row(alone, 0) == _row(full, rows[0])
-    for rows in (np.arange(K)[::-1], np.arange(0, K, 2), np.arange(5, K)):
+    for rows in (np.arange(K)[::-1], np.arange(0, K, 2), np.arange(5, K),
+                 np.argsort(n_prime, kind="stable")):  # rows of each H apart
         part = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
                             problem=problem[rows])
         for i, r in enumerate(rows):
@@ -408,6 +409,9 @@ def test_las_input_validation():
         slas_detect(y, xc, A, np.array([1], dtype=np.int8), max_passes=0)
     with pytest.raises(ValueError):
         Schedule("bogus")
+    for problem in ([-1], [0.5], [1]):  # integers in [0, 1) only
+        with pytest.raises(ValueError):
+            las_lockstep(y[None], [xc], A, np.ones((1, 1)), 0, problem=problem)
 
 
 # ---------------------------------------------------------------------------

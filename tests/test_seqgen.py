@@ -103,26 +103,33 @@ def test_chip_index_round_trip(seed, C, M, L):
     (2, 8, 12, 8),    # dense
     (3, 11, 7, 6),    # 2L > C
     (4, 100, 30, 5),
+    (7, 160, 128, 12),  # L not a power of two
+    (7, 75, 60, 24),
 ])
 def test_crosscorrelation_matches_dense_oracle(seed, C, M, L):
     S = gen_sparse_matrix(C, M, L, rng_for(seed))
     xc = crosscorrelation(S, np.ones(M))
     R_oracle = oracles.dense_crosscorr(S)
     assert np.max(np.abs(xc.dense_h() - R_oracle)) < 1e-12
+    if 2 * L <= C:  # sparse route: integer sign sums n give exactly n/L
+        h = xc.dense_h()
+        assert np.array_equal(h, np.rint(h * L) / L)
 
 
 def test_crosscorrelation_properties():
-    S = gen_sparse_matrix(60, 24, 5, rng_for(5))
-    xc = crosscorrelation(S, np.ones(24))
-    R = xc.dense_h()
-    assert np.array_equal(R, R.T)  # exact symmetry
-    assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
-    assert np.max(np.abs(R)) <= 1.0 + 1e-12
-    # structural nonzeros only where supports intersect
-    for i in range(24):
-        cols, _ = xc.row(i)
-        for j in cols:
-            assert np.intersect1d(S.chips[i], S.chips[j]).size > 0
+    # sparse, dense, and 2L > C (full structure, dense product)
+    for C, M, L in ((60, 24, 5), (100, 80, 100), (100, 80, 60)):
+        S = gen_sparse_matrix(C, M, L, rng_for(5))
+        xc = crosscorrelation(S, np.ones(M))
+        R = xc.dense_h()
+        assert np.array_equal(R, R.T)  # exact symmetry
+        assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
+        assert np.max(np.abs(R)) <= 1.0 + 1e-12
+        # structural nonzeros only where supports intersect
+        for i in range(M):
+            cols, _ = xc.row(i)
+            for j in cols:
+                assert np.intersect1d(S.chips[i], S.chips[j]).size > 0
 
 
 def test_identical_columns_give_unit_crosscorrelation():
