@@ -37,38 +37,50 @@ def transmit(S, params, bits, rng):
     """Synthesize the received chip vector r = sum_k A_k b_k s_k + noise.
 
     The signal part touches only the nonzero chips of each column.  With
-    sigma == 0 no noise is drawn and the output is the exact signal.
+    sigma == 0 no noise is drawn and the output is the exact signal.  For a
+    stack S of B matrices, bits is (B, M) and rng a list of B Generators:
+    matrix b sends bits[b] with noise from rng[b], and r is (B, C).
     """
     bits = np.asarray(bits)
-    if bits.shape != (S.n_bits,):
+    if bits.shape != S.chips.shape[:-1]:
         raise ValueError("bits length must equal the column count")
     if not np.all(np.abs(bits) == 1):
         raise ValueError("bits must be +/-1")
     if params.amplitudes.shape != (S.n_bits,):
         raise ValueError("amplitudes length must equal the column count")
 
-    w = params.amplitudes * bits * S.chip_amplitude
-    if S.is_dense:
-        r = S.dense_matrix @ (params.amplitudes * bits).astype(np.float64)
+    C, M = S.n_chips, S.n_bits
+    shape = bits.shape[:-1] + (C,)
+    x = params.amplitudes * bits
+    if S.is_dense:  # one BLAS product per matrix
+        r = np.stack([Sd @ xb for Sd, xb in zip(
+            S.dense_matrix.reshape(-1, C, M), x.reshape(-1, M))]).reshape(shape)
     else:
         r = np.bincount(
-            S.chips.ravel(),
-            weights=(S.signs * w[:, None]).ravel(),
-            minlength=S.n_chips,
-        )
+            S.stacked_chips(),
+            weights=(S.signs * (x * S.chip_amplitude)[..., None]).ravel(),
+            minlength=S.n_blocks * C,
+        ).reshape(shape)
     if params.sigma > 0:
-        r = r + rng.normal(0.0, params.sigma, S.n_chips)
+        rngs = rng if bits.ndim > 1 else [rng]
+        r = r + np.stack([g.normal(0.0, params.sigma, C)
+                          for g in rngs]).reshape(shape)
     return r
 
 
 def matched_filter(S, r):
-    """Correlator bank output y = S^T r, one statistic per bit."""
+    """Correlator bank output y = S^T r, one statistic per bit (per matrix
+    of a stack, r being (B, C))."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (S.n_chips,):
+    if r.shape != S.chips.shape[:-2] + (S.n_chips,):
         raise ValueError("received vector length must equal the chip count")
     if S.is_dense:
-        return S.dense_matrix.T @ r
-    return (S.signs * r[S.chips]).sum(axis=1) * S.chip_amplitude
+        C, M = S.n_chips, S.n_bits
+        return np.stack([Sd.T @ rb for Sd, rb in zip(
+            S.dense_matrix.reshape(-1, C, M),
+            r.reshape(-1, C))]).reshape(S.chips.shape[:-1])
+    rc = r.ravel()[S.stacked_chips()].reshape(S.chips.shape)
+    return (S.signs * rc).sum(axis=-1) * S.chip_amplitude
 
 
 def snr_to_sigma(snr_db, amplitude=1.0):

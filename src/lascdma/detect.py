@@ -29,8 +29,8 @@ The bit-update schedules:
                  verified fixed point.  hybrid(0) == sequential.
 
 One implementation runs them all: a row-batched kernel that advances K
-runs in lockstep, each row on its own (y, H, start vector), rows sharing an
-H gathering its flipped columns together.  las_lockstep runs SLAS/WSLAS
+runs in lockstep, each row on its own (y, H, start vector), every H a block
+of one stacked crosscorrelation.  las_lockstep runs SLAS/WSLAS
 rows (hybrid with n_prime all-bit steps, 0 for SLAS); las_run is the
 one-row case for every schedule, with the debug switches.  A row's result
 does not depend on the other rows of its batch.
@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .seqgen import CrossCorr
 
 MAX_EXHAUSTIVE_BITS = 20  # hard cap for the brute-force search
 
@@ -117,7 +119,6 @@ def initial_gradient(bits, y, xcorr, amplitudes):
 
 
 _BLOCK = 32  # bits per violator-count block of the sequential phase
-_SLICE_ROWS = 2  # a source with at most this many flipping rows is sliced
 
 
 @dataclass
@@ -135,54 +136,48 @@ class LockstepRuns:
 class _Lockstep:
     """Working state of K detector runs advanced together.
 
-    Row r runs on problem problem[r] = (y, its CrossCorr, start vector); rows
-    of one problem share its initial gradient.  Rows stay in the caller's
-    order: a flipped column is gathered from its own CrossCorr once per run
-    of adjacent rows sharing it, and no H is copied, so any row order is
-    exact and rows of one H kept adjacent run fastest.  Bits, gradients and
+    Row r runs on problem problem[r] = (y, start vector, H), every H a
+    block of one stacked CrossCorr (problem p's is block hblock[p], default
+    p); rows of one problem share its initial gradient.  Rows stay in the
+    caller's order, and any row order is exact.  Bits, gradients and
     negated H diagonals are (K, Mp) arrays, Mp being M rounded up to whole
     blocks of _BLOCK bits; the padding never violates.  The debug switches
     of las_run act per flip event; only las_run sets them, with K = 1.
     """
 
-    def __init__(self, y, xcorrs, amplitudes, b0, problem,
+    def __init__(self, y, xcorr, amplitudes, b0, problem, hblock,
                  record_flips=False, check_gradient=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         b0 = np.atleast_2d(np.asarray(b0))
         A = np.asarray(amplitudes, dtype=np.float64)
-        P, M = len(xcorrs), xcorrs[0].n_bits
-        if (y.shape != (P, M) or b0.shape != (P, M) or A.shape != (M,)
-                or any(xc.n_bits != M for xc in xcorrs)):
+        P, M = len(y), xcorr.n_bits
+        if y.shape != (P, M) or b0.shape != (P, M) or A.shape != (M,):
             raise ValueError("y, amplitudes and b0 must all have length M")
         if not np.all(np.abs(b0) == 1):
             raise ValueError("initial bits must be +/-1")
-        problem = np.asarray(problem)
-        if (problem.ndim != 1 or problem.dtype.kind not in "iu"
-                or np.any((problem < 0) | (problem >= P))):
-            raise ValueError(f"problem must hold integers in [0, {P})")
-        self.problem = problem = problem.astype(np.int64)
+        self.problem = problem = _indices(
+            np.arange(P) if problem is None else problem, P, "problem")
+        if hblock is not None:
+            hblock = _indices(hblock, xcorr.n_blocks, "block")
+        if (xcorr.n_blocks if hblock is None else hblock.size) != P:
+            raise ValueError("need one H block per problem")
         self.K = K = problem.size
         self.M = M
         self.nb = -(-M // _BLOCK)
         self.Mp = Mp = self.nb * _BLOCK
-        self.y, self.A = y, A
-        self.xcorrs = xcorrs
-        g0 = np.stack([initial_gradient(bp, yp, xc, A)
-                       for yp, xc, bp in zip(y, xcorrs, b0)])
-        b = b0.astype(np.int8)
-        # distinct CrossCorr objects are the gather sources
-        index = {}
-        src_of = np.array([index.setdefault(id(xc), len(index))
-                           for xc in xcorrs])
-        self.srcs = list({id(xc): xc for xc in xcorrs}.values())
-        self.src = src_of[problem]
-        self.full = np.array([xc.nnz == M * M for xc in self.srcs])[self.src]
+        self.y, self.A, self.xc = y, A, xcorr
+        g0 = A * y - xcorr.h_matvec(b0, hblock)
+        self.blk = blk = problem if hblock is None else hblock[problem]
+        self.full = (np.diff(xcorr.indptr[::M]) == M * M)[blk]
+        # windows[i] is h_data[i:i + M]: a full row from its first entry
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            xcorr.h_data, M)
         self.B = np.zeros((K, Mp), dtype=np.int8)
         self.G = np.zeros((K, Mp))
         self.NT = np.zeros((K, Mp))
-        self.B[:, :M] = b[problem]
+        self.B[:, :M] = b0[problem]
         self.G[:, :M] = g0[problem]
-        self.NT[:, :M] = -np.stack([xc.diag for xc in self.srcs])[self.src]
+        self.NT[:, :M] = -xcorr.diag.reshape(-1, M)[blk]
         self.V = np.zeros((K, Mp), dtype=bool)  # b_k g_k < -H_kk
         self.V3 = self.V.reshape(K, self.nb, _BLOCK)
         self.cnt = np.zeros((K, self.nb), dtype=np.int64)  # violators per block
@@ -203,43 +198,21 @@ class _Lockstep:
         if self.check_gradient:
             p = self.problem[row]
             direct = initial_gradient(self.B[row, :self.M], self.y[p],
-                                      self.xcorrs[p], self.A)
+                                      self.xc.block(self.blk[row]), self.A)
             err = float(np.max(np.abs(self.G[row, :self.M] - direct)))
             if err > 1e-9:
                 raise AssertionError(
                     f"incremental gradient drifted from recomputation by {err:.3e}"
                 )
 
-    def _by_source(self, rows):
-        """(CrossCorr, slice of rows) for each run of adjacent entries of
-        rows (row indices, in any order) that share one."""
-        if len(self.srcs) == 1:
-            return [(self.srcs[0], slice(None))]
-        src = self.src[rows]
-        cuts = [0, *(np.flatnonzero(src[1:] != src[:-1]) + 1).tolist(),
-                src.size]
-        return [(self.srcs[src[a]], slice(a, z))
-                for a, z in zip(cuts[:-1], cuts[1:])]
-
     def _columns(self, rows, ks):
-        """The H column ks[i] of row rows[i]'s CrossCorr, for every i, one
-        after the other: (column indices, values, entries per i)."""
-        lens = np.empty(rows.size, dtype=np.int64)
-        cols, vals = [], []
-        for xc, run in self._by_source(rows):
-            k = ks[run]
-            lo = xc.indptr[k]
-            n = xc.indptr[k + 1] - lo
-            lens[run] = n
-            if k.size <= _SLICE_ROWS:
-                for a, z in zip(lo.tolist(), (lo + n).tolist()):
-                    cols.append(xc.indices[a:z])
-                    vals.append(xc.h_data[a:z])
-            else:
-                at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-                cols.append(xc.indices[at])
-                vals.append(xc.h_data[at])
-        return np.concatenate(cols), np.concatenate(vals), lens
+        """The H column ks[i] of row rows[i]'s block, for every i, one after
+        the other: (column indices, values, entries per i)."""
+        s = self.blk[rows] * self.M + ks  # row of the stack
+        lo = self.xc.indptr[s]
+        n = self.xc.indptr[s + 1] - lo
+        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return self.xc.indices[at], self.xc.h_data[at], n
 
     def _mark_violators(self, rows):
         self.V[rows] = self.B[rows] * self.G[rows] < self.NT[rows]
@@ -272,9 +245,8 @@ class _Lockstep:
         if full.any():
             # full H rows are contiguous: update and rescan whole rows
             fr, fk, fc = rows[full], ks[full], c[full]
-            for xc, run in self._by_source(fr):
-                H = xc.h_data.reshape(self.M, self.M)
-                self.G[fr[run], :self.M] += fc[run, None] * H[fk[run]]
+            self.G[fr, :self.M] += fc[:, None] * self.windows[
+                self.xc.indptr[self.blk[fr] * self.M + fk]]
             self.additions[fr] += self.M
             self._mark_violators(fr)
         if not full.all():
@@ -358,7 +330,7 @@ class _Lockstep:
         return converged
 
     def abs_row_sums(self, rows):
-        return np.stack([self.srcs[s].abs_row_sums for s in self.src[rows]])
+        return self.xc.abs_row_sums.reshape(-1, self.M)[self.blk[rows]]
 
 
 def _ascend(st, rows, n_prime, max_passes):
@@ -376,21 +348,33 @@ def _ascend(st, rows, n_prime, max_passes):
     return st.sequential(rows, max_passes - st.passes[rows])
 
 
+def _indices(v, n, name):
+    """v as an int64 vector of integers in [0, n), or ValueError."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.dtype.kind not in "iu" or np.any((v < 0) | (v >= n)):
+        raise ValueError(f"{name} must hold integers in [0, {n})")
+    return v.astype(np.int64)
+
+
 def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
-                 problem=None):
+                 problem=None, block=None):
     """Run K SLAS/WSLAS detectors in lockstep and return LockstepRuns.
 
-    Problem p < P is (y[p], xcorrs[p], b0[p]); rows sharing an H pass the
-    same CrossCorr object.  Row r runs on problem problem[r], an integer in
-    [0, P) (default: row p on problem p): n_prime[r] all-bit steps (0 is
-    SLAS), then the cyclic sequential phase, within max_passes[r] passes.
-    n_prime and max_passes broadcast over the rows.  Each row's result is exactly that of its own
-    one-row run (las_run), whatever the other rows are and their order;
-    rows need not be sorted, but rows of one H kept adjacent run faster.
+    Problem p < P is (y[p], b0[p], its H).  xcorrs is one stacked CrossCorr
+    whose block block[p] is problem p's H (default: block p), or a list of
+    P CrossCorr, stacked once per call, where problems sharing an H pass the
+    same object.  Row r runs on problem problem[r], an integer in [0, P)
+    (default: row p on problem p): n_prime[r] all-bit steps (0 is SLAS),
+    then the cyclic sequential phase, within max_passes[r] passes.  n_prime
+    and max_passes broadcast over the rows.  Each row's result is exactly
+    that of its own one-row run (las_run), whatever the other rows are and
+    their order.
     """
-    if problem is None:
-        problem = np.arange(len(xcorrs))
-    st = _Lockstep(y, xcorrs, amplitudes, b0, problem)
+    if isinstance(xcorrs, (list, tuple)):
+        first = {}
+        block = [first.setdefault(id(xc), len(first)) for xc in xcorrs]
+        xcorrs = CrossCorr.stack(list({id(xc): xc for xc in xcorrs}.values()))
+    st = _Lockstep(y, xcorrs, amplitudes, b0, problem, block)
     n_prime = np.broadcast_to(np.asarray(n_prime, dtype=np.int64), (st.K,))
     max_passes = np.broadcast_to(np.asarray(max_passes, dtype=np.int64),
                                  (st.K,))
@@ -419,8 +403,9 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
     """
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
-    st = _Lockstep(np.asarray(y)[None], [xcorr], amplitudes,
-                   np.asarray(b0)[None], [0], record_flips, check_gradient)
+    st = _Lockstep(np.asarray(y)[None], xcorr, amplitudes,
+                   np.asarray(b0)[None], [0], None, record_flips,
+                   check_gradient)
     row = np.zeros(1, dtype=np.int64)
     overhead = xcorr.nnz  # initial gradient work
 

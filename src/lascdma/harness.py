@@ -29,7 +29,7 @@ from .detect import (
     mf_detect,
     MAX_EXHAUSTIVE_BITS,
 )
-from .seqgen import crosscorrelation, gen_sparse_matrix
+from .seqgen import SequenceMatrix, crosscorrelation, gen_sparse_matrix
 
 DETECTOR_ORDER = ("MF", "SLAS", "WSLAS", "GML")
 LML_DETECTORS = ("SLAS", "WSLAS")
@@ -43,8 +43,8 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _INITIAL_PROBE_BITS = 16384
 _MAX_BATCH_TRIALS = 65536
-# array entries a lockstep group may hold: kernel rows x M, plus each
-# per-transmission H
+# array entries a lockstep group may hold: kernel rows x M, plus each fresh
+# matrix's M x max(M, C) (its uniforms or dense matrix, and its H)
 _LOCKSTEP_ENTRIES = 1 << 18
 
 
@@ -169,6 +169,7 @@ class ExperimentConfig:
                 raise ConfigError("seq_sets count must be >= 1")
         if not self.snr_points():
             raise ConfigError("snr_db must contain at least one value")
+        streams = {}  # trial-stream code -> SNR
         for s in self.snr_points():
             if math.isnan(s):
                 raise ConfigError("snr_db must not be NaN")
@@ -176,6 +177,15 @@ class ExperimentConfig:
                 snr_to_sigma(s)
             except ValueError as e:
                 raise ConfigError(str(e))
+            code = _snr_code(s)
+            if code < 0:
+                raise ConfigError(f"snr_db = {s!r} is below -4194.304 dB, "
+                                  f"the lowest SNR a trial stream encodes")
+            if code in streams:
+                raise ConfigError(
+                    f"snr_db values {streams[code]!r} and {s!r} share one "
+                    f"trial stream (SNRs are told apart to 0.001 dB)")
+            streams[code] = s
         dets = self.normalized_detectors()
         # feasibility of the point itself
         if self.C < 1:
@@ -239,7 +249,8 @@ class _PointCtx:
     params: ChannelParams
     n_prime: int
     max_passes: int
-    matrices: object  # list of (SequenceMatrix, CrossCorr), or None for per-tx
+    sets: object  # the fixed SequenceMatrix list, or None for per-tx
+    xcorr: object  # the fixed sets' stacked CrossCorr, or None
     audit_detectors: tuple
     trial_keys: tuple  # per-set 128-bit Philox keys
 
@@ -272,41 +283,46 @@ def _set_matrix_rng(seed, M, C, L, set_idx):
     return np.random.default_rng(ss)
 
 
-def _draw(ctx, set_idx, trial_idx):
-    """One transmission from the trial's substream: (sent bits, matched-filter
-    output, CrossCorr)."""
-    rng = _trial_rng(ctx, set_idx, trial_idx)
-    if ctx.matrices is None:
-        S = gen_sparse_matrix(ctx.C, ctx.M, ctx.L, rng)
-        xc = crosscorrelation(S, ctx.amplitudes)
-    else:
-        S, xc = ctx.matrices[set_idx]
-    b = (rng.integers(0, 2, ctx.M, dtype=np.int8) * 2 - 1).astype(np.int8)
-    r = transmit(S, ctx.params, b, rng)
-    return b, matched_filter(S, r), xc
+def _build(ctx, items):
+    """Draw the transmissions items = [(set index, trial index), ...], each
+    from its own trial substream in the order a lone trial draws, and build
+    them as one stack.  Returns (sent bits, matched-filter outputs, stacked
+    CrossCorr, H block of each transmission or None for block t)."""
+    rngs = [_trial_rng(ctx, s, t) for s, t in items]
+    S = None if ctx.sets else gen_sparse_matrix(ctx.C, ctx.M, ctx.L, rngs)
+    b = np.stack([g.integers(0, 2, ctx.M, dtype=np.int8) for g in rngs]) * 2 - 1
+    if S is not None:
+        y = matched_filter(S, transmit(S, ctx.params, b, rngs))
+        return b, y, crosscorrelation(S, ctx.amplitudes), None
+    block = np.array([s for s, _ in items])
+    y = np.stack([
+        matched_filter(ctx.sets[s], transmit(ctx.sets[s], ctx.params, bt, g))
+        for s, bt, g in zip(block, b, rngs)])
+    return b, y, ctx.xcorr, block
 
 
-def _detect(ctx, drawn):
-    """Run every detector on drawn transmissions; the LAS detectors of all of
-    them run as rows of one lockstep kernel call.
+def _detect(ctx, b, y, xc, block):
+    """Run every detector on built transmissions (see _build); the LAS
+    detectors of all of them run as rows of one lockstep kernel call.
 
     Returns (counts, audit): counts[t, d] holds (errors, additions, passes,
     unconverged) of detector d on transmission t, and audit[t, a] holds
     (equals the GML decision, likelihood above GML's) of audit detector a.
     """
-    sent, y, xcs = zip(*drawn)
-    b, y = np.stack(sent), np.stack(y)
+    T = len(b)
     las = [d for d in ctx.detectors if d in LML_DETECTORS]
-    counts = np.zeros((len(drawn), len(ctx.detectors), 4), dtype=np.int64)
-    decided = np.empty((len(drawn), len(ctx.detectors), ctx.M), dtype=np.int8)
-    b_mf = np.stack([mf_detect(y_t) for y_t in y])
+    counts = np.zeros((T, len(ctx.detectors), 4), dtype=np.int64)
+    decided = np.empty((T, len(ctx.detectors), ctx.M), dtype=np.int8)
+    b_mf = mf_detect(y)
     if las:
         runs = las_lockstep(
-            y, xcs, ctx.amplitudes, b_mf,
-            n_prime=[0 if d == "SLAS" else ctx.n_prime for d in las] * len(drawn),
+            y, xc, ctx.amplitudes, b_mf,
+            n_prime=[0 if d == "SLAS" else ctx.n_prime for d in las] * T,
             max_passes=ctx.max_passes,
-            problem=np.repeat(np.arange(len(drawn)), len(las)),
+            problem=np.repeat(np.arange(T), len(las)), block=block,
         )
+    xcs = [xc.block(t if block is None else block[t])
+           for t in range(T)] if "GML" in ctx.detectors else None
     for d, det in enumerate(ctx.detectors):
         if det == "MF":
             decided[:, d] = b_mf
@@ -317,17 +333,17 @@ def _detect(ctx, drawn):
             counts[:, d, 2] = runs.passes[rows]
             counts[:, d, 3] = ~runs.converged[rows]
         else:  # GML
-            decided[:, d] = [gml_exhaustive(y_t, xc, ctx.amplitudes)[0]
-                             for y_t, xc in zip(y, xcs)]
+            decided[:, d] = [gml_exhaustive(y_t, xc_t, ctx.amplitudes)[0]
+                             for y_t, xc_t in zip(y, xcs)]
     counts[:, :, 0] = np.count_nonzero(decided != b[:, None], axis=2)
 
-    audit = np.zeros((len(drawn), len(ctx.audit_detectors), 2), dtype=np.int64)
+    audit = np.zeros((T, len(ctx.audit_detectors), 2), dtype=np.int64)
     if ctx.audit_detectors:
         gml = decided[:, ctx.detectors.index("GML")]
         audited = decided[:, [ctx.detectors.index(d)
                               for d in ctx.audit_detectors]]
         audit[:, :, 0] = (audited == gml[:, None]).all(axis=2)
-        for t in range(len(drawn)):
+        for t in range(T):
             om_gml = likelihood(gml[t], y[t], xcs[t], ctx.amplitudes)
             tol = 1e-9 * (1.0 + abs(om_gml))
             audit[t, :, 1] = [
@@ -337,27 +353,24 @@ def _detect(ctx, drawn):
     return counts, audit
 
 
+def _group_size(ctx):
+    """Trials per lockstep group: they hold about _LOCKSTEP_ENTRIES array
+    entries, which bounds memory.  A trial with no LAS row still holds its
+    M outputs."""
+    held = max(1, sum(d in LML_DETECTORS for d in ctx.detectors)) * ctx.M
+    if ctx.sets is None:
+        held += ctx.M * max(ctx.M, ctx.C)
+    return -(-_LOCKSTEP_ENTRIES // held)
+
+
 def _run_trials(ctx, items):
     """Run the trials [(set index, trial index), ...] and return the
     concatenated (counts, audit) blocks of _detect, one entry per trial, in
-    order.
-
-    Transmissions are drawn one by one and detected in lockstep groups.  A
-    group closes once its kernel rows (and, per transmission, its own H)
-    hold _LOCKSTEP_ENTRIES array entries, which bounds memory.  A trial's
-    result does not depend on its group."""
-    n_las = sum(d in LML_DETECTORS for d in ctx.detectors)
-    blocks, group, held = [], [], 0
-    for set_idx, trial_idx in items:
-        drawn = _draw(ctx, set_idx, trial_idx)
-        group.append(drawn)
-        held += n_las * ctx.M + (drawn[2].nnz if ctx.matrices is None else 0)
-        if held >= _LOCKSTEP_ENTRIES:
-            blocks.append(_detect(ctx, group))
-            group, held = [], 0
-    if group:
-        blocks.append(_detect(ctx, group))
-    return _concat(blocks)
+    order.  The trials are built and detected in lockstep groups of
+    _group_size; a trial's result does not depend on its group."""
+    n = _group_size(ctx)
+    return _concat([_detect(ctx, *_build(ctx, items[i:i + n]))
+                    for i in range(0, len(items), n)])
 
 
 def _concat(blocks):
@@ -402,23 +415,21 @@ def _next_batch_trials(min_bit_errors, max_bits, bits_per_round, trials_done,
 
 
 def _resolve_sets(config):
-    """Returns (n_sets, prepared) under the sequence-set policy; prepared is
-    a list of (SequenceMatrix, CrossCorr), or None for a fresh matrix per
-    transmission."""
+    """Returns (n_sets, sets, xcorr) under the sequence-set policy: the
+    fixed SequenceMatrix list and their stacked CrossCorr, or None, None
+    for a fresh matrix per transmission."""
     M, C, L = config.M, config.C, config.resolved_L()
-    amplitudes = np.ones(M)
     policy = config.seq_sets
     if policy == "auto":
         policy = "per_tx" if M <= PER_TX_MAX_BITS else DEFAULT_FIXED_SETS
     if policy == "per_tx":
-        return 1, None
+        return 1, None, None
     n_sets = int(policy)
-    prepared = []
-    for s in range(n_sets):
-        rng = _set_matrix_rng(config.seed, M, C, L, s)
-        S = gen_sparse_matrix(C, M, L, rng)
-        prepared.append((S, crosscorrelation(S, amplitudes)))
-    return n_sets, prepared
+    # one stack, each set's H written into its block
+    S = gen_sparse_matrix(C, M, L, [_set_matrix_rng(config.seed, M, C, L, s)
+                                    for s in range(n_sets)])
+    sets = [SequenceMatrix(C, M, c, g) for c, g in zip(S.chips, S.signs)]
+    return n_sets, sets, crosscorrelation(S, np.ones(M))
 
 
 def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
@@ -443,7 +454,7 @@ def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
     rows = []
     for d_idx, det in enumerate(ctx.detectors):
         per_set = [
-            estimate(det, "per_tx" if ctx.matrices is None else str(s),
+            estimate(det, "per_tx" if ctx.sets is None else str(s),
                      tally[s, d_idx], trials_done)
             for s in range(n_sets)
         ]
@@ -460,7 +471,7 @@ def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
     return rows
 
 
-def _run_point(config, snr_db, workers, n_sets, prepared):
+def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
     M, C, L = config.M, config.C, config.resolved_L()
     detectors = config.normalized_detectors()
     amplitudes = np.ones(M)
@@ -472,7 +483,7 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
         detectors=detectors, amplitudes=amplitudes,
         params=ChannelParams(amplitudes, snr_to_sigma(snr_db)),
         n_prime=config.n_prime, max_passes=config.max_passes,
-        matrices=prepared, audit_detectors=audit_detectors,
+        sets=sets, xcorr=xcorr, audit_detectors=audit_detectors,
         trial_keys=tuple(
             _trial_key(config.seed, M, C, L, snr_db, s) for s in range(n_sets)
         ),
@@ -501,7 +512,6 @@ def _run_point(config, snr_db, workers, n_sets, prepared):
             )
             if n == 0:
                 break
-            # set-major: a fixed set's transmissions are adjacent kernel rows
             batch_args = [
                 (s, t)
                 for s in range(n_sets)
@@ -537,10 +547,10 @@ def run_experiment(config, workers=1):
     config.validate()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    n_sets, prepared = _resolve_sets(config)
+    n_sets, sets, xcorr = _resolve_sets(config)
     rows = []
     for snr in config.snr_points():
-        rows.extend(_run_point(config, snr, workers, n_sets, prepared))
+        rows.extend(_run_point(config, snr, workers, n_sets, sets, xcorr))
     return rows
 
 

@@ -3,14 +3,24 @@
 A spreading matrix has M unit-norm columns over C chips.  Each column has
 exactly L nonzero chips at distinct random positions, and every nonzero is
 +1/sqrt(L) or -1/sqrt(L) with equal probability.  L == C is the dense
-special case (ordinary random spreading).
+special case (ordinary random spreading).  A stack of B matrices, each
+drawn on its own, has (B, M, L) chips and signs and is checked, correlated
+and transmitted through as one unit; its crosscorrelation is one
+block-stacked CrossCorr.
 
-Crosscorrelations are assembled through an inverted chip index: only column
-pairs that share at least one chip can meet, so the work is proportional to
-the number of cohabiting pairs rather than to all M^2 pairs.  Entries whose
-sign products cancel to exactly 0.0 are kept in the sparse structure: the
-pair shares chip support, and a sparse detector implementation stores and
-touches that entry regardless of its value.
+Crosscorrelations sum each column pair's sign products as integers and
+divide by L once, so every value of S^T S is the correctly rounded n/L of
+its integer sign sum n, by one of two routes.  The chip-index route pairs
+only the columns that share a chip, through an inverted chip index: its
+work is pairs = sum_c occupancy(c)^2.  The gather route gathers an int8
+C x M sign matrix at each column's L chips and sums in int16, M^2 L entries
+per matrix and no BLAS (tiny multi-threaded products oversubscribe the
+worker processes); it runs when M^2 L < _GATHER_PER_PAIR * pairs, i.e. for
+small M.  When 2L > C every pair overlaps, and each block's values come
+from the dense product S^T S.  Entries whose sign products cancel to
+exactly 0.0 are kept in the sparse structure: the pair shares chip support,
+and a sparse detector implementation stores and touches that entry
+regardless of its value.
 """
 
 from dataclasses import dataclass
@@ -18,34 +28,41 @@ from functools import cached_property
 
 import numpy as np
 
+# gathered entries per chip-index pair: an entry cost 1.5-3.6 ns and a pair
+# 100-170 ns (M = 128..1024); below 50 the gather route was 1.1-5.6x as
+# fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
+_GATHER_PER_PAIR = 50
+
 
 @dataclass
 class SequenceMatrix:
     """M spreading sequences over C chips, all with the same nonzero count L.
 
-    `chips[k]` / `signs[k]` describe column k.  The matrix is immutable once
-    built and safe to share across concurrent readers.
+    `chips[k]` / `signs[k]` describe column k; a stack of B matrices has
+    (B, M, L) chips and signs, matrix b being `chips[b]` / `signs[b]`.  The
+    matrix is immutable once built and safe to share across concurrent
+    readers.
     """
 
     n_chips: int
     n_bits: int
-    chips: np.ndarray  # (M, L) int32, each row strictly increasing
-    signs: np.ndarray  # (M, L) int8
+    chips: np.ndarray  # (M, L) or (B, M, L) int32, rows strictly increasing
+    signs: np.ndarray  # like chips, int8
 
     def __post_init__(self):
         self.chips = np.ascontiguousarray(self.chips, dtype=np.int32)
         self.signs = np.ascontiguousarray(self.signs, dtype=np.int8)
         C, M = self.n_chips, self.n_bits
-        if self.chips.ndim != 2 or self.chips.shape[0] != M:
-            raise ValueError("chips must be (n_bits, L)")
+        if self.chips.ndim not in (2, 3) or self.chips.shape[-2] != M:
+            raise ValueError("chips must be (n_bits, L) or (blocks, n_bits, L)")
         if self.signs.shape != self.chips.shape:
             raise ValueError("signs shape must match chips")
-        L = self.chips.shape[1]
+        L = self.chips.shape[-1]
         if not 1 <= L <= C:
             raise ValueError(f"need 1 <= L <= C, got L={L}, C={C}")
         if self.chips.min() < 0 or self.chips.max() >= C:
             raise ValueError("chip index out of range")
-        if L > 1 and not np.all(np.diff(self.chips, axis=1) > 0):
+        if not np.all(self.chips[..., 1:] > self.chips[..., :-1]):
             raise ValueError("chip indices must be distinct and sorted per column")
         if not np.all(np.abs(self.signs) == 1):
             raise ValueError("signs must be +/-1")
@@ -53,7 +70,12 @@ class SequenceMatrix:
     @property
     def n_nonzero(self):
         """Nonzero chips per column (L)."""
-        return int(self.chips.shape[1])
+        return int(self.chips.shape[-1])
+
+    @property
+    def n_blocks(self):
+        """Matrices in the stack (1 for a single matrix)."""
+        return self.chips.size // (self.n_bits * self.n_nonzero)
 
     @property
     def is_dense(self):
@@ -63,40 +85,56 @@ class SequenceMatrix:
     def chip_amplitude(self):
         return 1.0 / np.sqrt(self.n_nonzero)
 
+    def stacked_chips(self):
+        """chips.ravel() numbered across the stack: block b's chip c is
+        b*C + c."""
+        B = self.n_blocks
+        return (self.chips.reshape(B, -1)
+                + np.arange(0, B * self.n_chips, self.n_chips)[:, None]).ravel()
+
     @cached_property
     def chip_index(self):
         """Inverted map chip -> occupying columns, as CSR-style arrays.
 
         Returns (indptr, cols, signs): columns with a nonzero at chip c are
-        cols[indptr[c]:indptr[c+1]], with matching signs.
+        cols[indptr[c]:indptr[c+1]], with matching signs.  Chips and columns
+        are numbered across the stack (block b's column k is b*M + k).
         """
-        flat = self.chips.ravel()
+        flat = self.stacked_chips()
         order = np.argsort(flat, kind="stable")
         cols = (order // self.n_nonzero).astype(np.int32)
         signs = self.signs.ravel()[order]
-        counts = np.bincount(flat, minlength=self.n_chips)
+        counts = np.bincount(flat, minlength=self.n_blocks * self.n_chips)
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return indptr, cols, signs
 
     @cached_property
     def dense_matrix(self):
-        """The (C, M) dense float matrix; columns are unit-norm sequences."""
-        S = np.zeros((self.n_chips, self.n_bits))
-        rows = self.chips.ravel()
-        cols = np.repeat(np.arange(self.n_bits), self.n_nonzero)
-        S[rows, cols] = self.signs.ravel() * self.chip_amplitude
-        return S
+        """The (C, M) dense float matrix, (B, C, M) for a stack; columns are
+        unit-norm sequences."""
+        B, C, M, L = self.n_blocks, self.n_chips, self.n_bits, self.n_nonzero
+        S = np.zeros((B, C, M))
+        if self.is_dense:  # chips[k] is 0..C-1: a transpose, 8x the scatter
+            np.multiply(np.swapaxes(self.signs.reshape(B, M, C), 1, 2),
+                        self.chip_amplitude, out=S)
+        else:
+            S[np.arange(B)[:, None, None], self.chips.reshape(B, M, L),
+              np.arange(M)[:, None]] = (self.signs.reshape(B, M, L)
+                                        * self.chip_amplitude)
+        return S.reshape(self.chips.shape[:-2] + (C, M))
 
 
 @dataclass
 class CrossCorr:
     """The amplitude-weighted crosscorrelation H = A R A, with R = S^T S.
 
-    One full symmetric CSR structure (per-row column/value lists, columns
-    ascending within a row): `indptr`/`indices` with values `h_data`;
-    `diag` holds the H diagonal (A_k^2 for unit-norm columns).  Structural
-    entries are exactly the column pairs sharing chip support, including
-    any whose value cancels to 0.0.  Immutable once built.
+    One full symmetric CSR structure per block (per-row column/value lists,
+    columns ascending within a row): `indptr`/`indices` with values
+    `h_data`; `diag` holds the H diagonal (A_k^2 for unit-norm columns).  A
+    stack of B blocks has B*M rows, block b's at offset b*M, and column
+    indices local to the block.  Structural entries are exactly the column
+    pairs sharing chip support, including any whose value cancels to 0.0.
+    Immutable once built.
     """
 
     n_bits: int
@@ -109,25 +147,69 @@ class CrossCorr:
     def nnz(self):
         return int(self.indptr[-1])
 
+    @property
+    def n_blocks(self):
+        return (self.indptr.size - 1) // self.n_bits
+
     def row(self, k):
         """Nonzero (indices, values) of row k of H (== column k by symmetry)."""
         lo, hi = self.indptr[k], self.indptr[k + 1]
         return self.indices[lo:hi], self.h_data[lo:hi]
 
-    def h_matvec(self, x):
-        """H @ x through the raw row lists."""
-        return np.add.reduceat(self.h_data * x[self.indices], self.indptr[:-1])
+    def block(self, b):
+        """Block b of the stack as a CrossCorr of its own (views)."""
+        M = self.n_bits
+        lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
+        return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
+                         self.indices[lo:hi], self.h_data[lo:hi],
+                         self.diag[b * M:(b + 1) * M])
+
+    @staticmethod
+    def stack(xcorrs):
+        """One stack whose blocks are copies of the given CrossCorr."""
+        if any(xc.n_bits != xcorrs[0].n_bits for xc in xcorrs):
+            raise ValueError("stacked blocks must have one size")
+        at = np.cumsum([0] + [xc.nnz for xc in xcorrs])
+        indptr = np.concatenate(
+            [[0]] + [xc.indptr[1:] + a for xc, a in zip(xcorrs, at)])
+        return CrossCorr(xcorrs[0].n_bits, indptr, *(
+            np.concatenate([getattr(xc, f) for xc in xcorrs])
+            for f in ("indices", "h_data", "diag")))
+
+    def h_matvec(self, x, block=None):
+        """H @ x through the raw row lists.  On a stack, x holds one vector
+        per problem, (P, M), and problem p is multiplied by block block[p]
+        (default: block p, in one pass).  Every row sums its entries as its
+        block alone does, so the stacking moves no bit."""
+        M = self.n_bits
+        X = np.asarray(x, dtype=np.float64).reshape(-1, M)
+        if len(X) != (self.n_blocks if block is None else len(block)):
+            raise ValueError("need one vector per block or problem")
+        if block is not None:
+            return np.stack([xc.h_matvec(xp) for xc, xp in
+                             zip(map(self.block, block), X)])
+        at = self.indices
+        if len(X) > 1:  # block b's columns are at b*M of X.ravel()
+            at = np.repeat(np.arange(0, X.size, M), np.diff(self.indptr[::M]))
+            at += self.indices
+        v = X.ravel()[at]
+        v *= self.h_data
+        return np.add.reduceat(v, self.indptr[:-1]).reshape(np.shape(x))
 
     def dense_h(self):
-        out = np.zeros((self.n_bits, self.n_bits))
-        rows = np.repeat(np.arange(self.n_bits), np.diff(self.indptr))
+        """H as a dense (rows, M) array: (M, M), or the B blocks stacked."""
+        out = np.zeros((self.indptr.size - 1, self.n_bits))
+        rows = np.repeat(np.arange(out.shape[0]), np.diff(self.indptr))
         out[rows, self.indices] = self.h_data
         return out
 
     @cached_property
     def abs_row_sums(self):
-        """sum_j |H_kj| per row; the all-bits update threshold."""
-        return np.add.reduceat(np.abs(self.h_data), self.indptr[:-1])
+        """sum_j |H_kj| per row; the all-bits update threshold.  Summed
+        block by block, so that |H| is copied one block at a time."""
+        return np.concatenate([
+            np.add.reduceat(np.abs(xc.h_data), xc.indptr[:-1])
+            for xc in map(self.block, range(self.n_blocks))])
 
 
 def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
@@ -135,31 +217,44 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
     positions each, independent equiprobable signs.
 
     rng is a seeded numpy Generator; output is deterministic for a fixed
-    stream.  Duplicate columns are allowed (the random model does not
-    exclude them).
+    stream.  Given a list of B Generators instead, it draws a stack: matrix
+    b from rng[b], exactly as alone.  Duplicate columns are allowed (the
+    random model does not exclude them).
     """
     C, M, L = n_chips, n_bits, n_nonzero
     if not 1 <= L <= C:
         raise ValueError(f"need 1 <= L <= C, got L={L}, C={C}")
     if M < 1:
         raise ValueError("need at least one column")
+    single = not isinstance(rng, (list, tuple))
+    rngs = [rng] if single else rng
     if L == C:
-        chips = np.tile(np.arange(C, dtype=np.int32), (M, 1))
+        chips = np.broadcast_to(np.arange(C, dtype=np.int32), (len(rngs), M, C))
     else:
-        # top-L of i.i.d. uniforms per row = uniform L-subset without replacement
-        u = rng.random((M, C))
-        chips = np.sort(np.argpartition(u, L, axis=1)[:, :L].astype(np.int32), axis=1)
-    signs = (rng.integers(0, 2, size=(M, L), dtype=np.int8) * 2 - 1).astype(np.int8)
+        # top-L of i.i.d. uniforms per row = uniform L-subset without
+        # replacement; one matrix at a time keeps the uniforms in cache
+        chips = np.empty((len(rngs), M, L), dtype=np.int32)
+        u = np.empty((M, C))
+        for g, c in zip(rngs, chips):
+            g.random(out=u)
+            c[...] = np.argpartition(u, L, axis=1)[:, :L]
+        chips.sort(axis=-1)
+    signs = np.stack([g.integers(0, 2, size=(M, L), dtype=np.int8)
+                      for g in rngs]) * 2 - 1
+    if single:
+        chips, signs = chips[0], signs[0]
     return SequenceMatrix(C, M, chips, signs)
 
 
 def crosscorrelation(S, amplitudes):
-    """Build H = A R A, with R = S^T S, as a sparse symmetric structure.
+    """Build H = A R A, with R = S^T S, as a sparse symmetric structure: one
+    block per matrix of the stack S, all with the same amplitudes.
 
-    The sparse route walks the inverted chip index and emits one sign product
-    per (chip, column pair) incidence, so the cost is sum_c occupancy(c)^2;
-    each R entry is the exact n/L of its integer sign sum n.  When
-    2L > C every column pair shares a chip (the structure is full), so the
+    Each R entry is the exact n/L of its integer sign sum n, by the chip
+    index route (work sum_c occupancy(c)^2, block by block, into one set of
+    arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
+    (M^2 L entries per block, all blocks at once).  When 2L > C every
+    column pair shares a chip (the structure is full), so each block's
     product is taken densely instead.
     """
     A = np.asarray(amplitudes, dtype=np.float64)
@@ -170,37 +265,82 @@ def crosscorrelation(S, amplitudes):
     if not np.all(A > 0):
         raise ValueError("amplitudes must be positive")
 
-    C, M, L = S.n_chips, S.n_bits, S.n_nonzero
+    B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     if 2 * L > C:
         # every pair overlaps: full structure, dense product for the values
-        Sd = S.dense_matrix
-        indptr = np.arange(M + 1, dtype=np.int64) * M
-        indices = np.tile(np.arange(M, dtype=np.int32), M)
-        r_data = (Sd.T @ Sd).ravel()  # numpy returns S^T S exactly symmetric
+        Sd = S.dense_matrix.reshape(B, C, M)
+        r_data = np.empty((B, M, M))
+        for Sb, Rb in zip(Sd, r_data):
+            np.matmul(Sb.T, Sb, out=Rb)  # numpy returns S^T S exactly symmetric
+        r_diag = r_data[:, np.arange(M), np.arange(M)].ravel()
+        r_data = r_data.reshape(-1)
+        indptr = np.arange(B * M + 1, dtype=np.int64) * M
+        indices = np.tile(np.arange(M, dtype=np.int32), B * M)
     else:
-        cptr, cols, csigns = S.chip_index
-        counts = np.diff(cptr).astype(np.int64)
-        sq = counts * counts
-        total = int(sq.sum())
-        chip_of = np.repeat(np.arange(C), sq)
-        offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(sq) - sq, sq)
-        occ = counts[chip_of]
-        ia = cptr[chip_of] + offset // occ
-        ib = cptr[chip_of] + offset % occ
-        # exact integer sign sums per (row, col) key, divided by L once
-        key = cols[ia].astype(np.int64) * M + cols[ib]
-        ukey, pair = np.unique(key, return_inverse=True)
-        r_data = np.bincount(pair, weights=csigns[ia] * csigns[ib]) / L
-        indices = (ukey % M).astype(np.int32)
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(ukey // M, minlength=M)))
-        )
+        occ = np.bincount(S.stacked_chips(), minlength=B * C).reshape(B, C)
+        pairs = (occ * occ).sum(axis=1)
+        if M * M * L < _GATHER_PER_PAIR * pairs.mean():
+            indptr, indices, r_data = _gather_route(S)
+        else:
+            indptr, indices, r_data = _chip_index_route(S, occ, pairs)
+        r_diag = np.ones(B * M)  # n = L on the diagonal
 
-    rows_of = np.repeat(np.arange(M), np.diff(indptr))
     if np.all(A == 1.0):
-        h_data = r_data  # equal power: identical; immutable by convention
-    else:
-        h_data = r_data * A[rows_of] * A[indices]
-    diag = h_data[indices == rows_of]
-    return CrossCorr(n_bits=M, indptr=indptr, indices=indices,
-                     h_data=h_data, diag=diag)
+        # equal power: identical; immutable by convention
+        return CrossCorr(M, indptr, indices, r_data, r_diag)
+    rows_of = np.repeat(np.tile(np.arange(M), B), np.diff(indptr))
+    At = np.tile(A, B)
+    return CrossCorr(M, indptr, indices, r_data * A[rows_of] * A[indices],
+                     r_diag * At * At)
+
+
+def _gather_route(S):
+    """(indptr, indices, r_data) of every block at once: row j of the int8
+    C x M sign matrix, gathered at column j's chips and summed with its
+    signs, is column j's integer sign sum with every column."""
+    B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
+    chips = S.stacked_chips().reshape(B, M, L)
+    signs = S.signs.reshape(B, M, L)
+    Si = np.zeros((B * C, M), dtype=np.int8)  # the blocks' sign matrices
+    Si[chips, np.arange(M)[:, None]] = signs
+    n = np.zeros((B, M, M), dtype=np.int16 if L < 2 ** 15 else np.int32)
+    pattern = np.zeros((B, M, M), dtype=bool)  # shared support
+    for l in range(L):
+        g = Si[chips[:, :, l]]
+        np.logical_or(pattern, g, out=pattern)
+        g *= signs[:, :, l, None]
+        n += g
+    indptr = np.concatenate(([0], np.cumsum(pattern.sum(axis=2).ravel())))
+    indices = np.broadcast_to(np.arange(M, dtype=np.int32), pattern.shape)[pattern]
+    return indptr, indices, n[pattern] / L
+
+
+def _chip_index_route(S, occ, pairs):
+    """(indptr, indices, r_data) block by block: each chip's occupant pairs
+    give one sign product each, summed per (row, column) key.  The blocks
+    are written in place into arrays sized by their pair counts."""
+    B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
+    cptr, cols, csigns = S.chip_index
+    cap = int(np.minimum(pairs, M * M).sum())
+    indptr = np.zeros(B * M + 1, dtype=np.int64)
+    indices = np.empty(cap, dtype=np.int32)
+    r_data = np.empty(cap)
+    at = 0
+    for b in range(B):
+        counts = occ[b]
+        sq = counts * counts
+        chip_of = np.repeat(np.arange(b * C, (b + 1) * C), sq)
+        offset = np.arange(pairs[b]) - np.repeat(np.cumsum(sq) - sq, sq)
+        occ_of = counts[chip_of - b * C]
+        ia = cptr[chip_of] + offset // occ_of
+        ib = cptr[chip_of] + offset % occ_of
+        # exact integer sign sums per (row, col) key, divided by L once
+        key = (cols[ia] - b * M).astype(np.int64) * M + (cols[ib] - b * M)
+        ukey, pair = np.unique(key, return_inverse=True)
+        end = at + ukey.size
+        r_data[at:end] = np.bincount(pair, weights=csigns[ia] * csigns[ib]) / L
+        indices[at:end] = ukey % M
+        indptr[b * M + 1:(b + 1) * M + 1] = at + np.cumsum(
+            np.bincount(ukey // M, minlength=M))
+        at = end
+    return indptr, indices[:at], r_data[:at]

@@ -250,6 +250,9 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     ("alpha=inf", "alpha must be > 0 and finite"),
     ("experiment=a,b", "experiment 'a,b' contains ','"),
     ("experiment=a#b", "experiment 'a#b' contains '#'"),
+    ("snr_db=-5000", "snr_db = -5000.0 is below -4194.304 dB"),
+    ("snr_db=2,2.0004", "snr_db values 2.0 and 2.0004 share one trial stream"),
+    ("snr_db=4,4", "snr_db values 4.0 and 4.0 share one trial stream"),
 ])
 def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
     out = tmp_path / "x.csv"

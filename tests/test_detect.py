@@ -397,6 +397,26 @@ def test_lockstep_row_result_independent_of_its_group():
                              one.flips, one.additions, one.passes)
 
 
+def test_lockstep_on_one_stack_mixing_full_and_sparse_blocks():
+    # one stacked CrossCorr (L = 4, dense, L = 16 blocks) with problems
+    # mapped onto shared blocks; every row equals its one-row detector run
+    ys, xcs, A, b0, _, _, _, _ = _lockstep_batch(3, M=40)
+    blocks = [xcs[0], xcs[4], xcs[2]]
+    stack = CrossCorr.stack(blocks)
+    assert [xc.nnz == 40 * 40 for xc in blocks] == [False, True, False]
+    block = np.array([0, 1, 2, 1, 0])
+    problem = np.repeat(np.arange(5), 2)
+    n_prime = np.tile([0, 4], 5)
+    runs = las_lockstep(ys, stack, A, b0, n_prime, problem=problem,
+                        block=block)
+    for r, p in enumerate(problem):
+        xc = blocks[block[p]]
+        ref = (slas_detect(ys[p], xc, A, b0[p]) if n_prime[r] == 0 else
+               wslas_detect(ys[p], xc, A, b0[p], n_prime=int(n_prime[r])))
+        assert _row(runs, r) == (ref.bits.tolist(), ref.converged, ref.steps,
+                                 ref.flips, ref.additions, ref.passes), r
+
+
 def test_las_input_validation():
     xc = xcorr_from_dense([[1.0]])
     y = np.array([1.0])

@@ -159,6 +159,19 @@ def test_fixed_sets_reporting():
     assert avg.ber == pytest.approx(np.mean([r.ber for r in per_set]))
 
 
+@pytest.mark.parametrize("cfg", [
+    dict(M=160, alpha=0.8, L=4, detectors=("MF",)),  # five fixed sets
+    dict(M=10, alpha=0.5, L=4, detectors=("GML",), seq_sets=2),
+])
+def test_fixed_sets_without_las_rows(cfg):
+    # a fixed-set point whose trials hold no lockstep row still runs
+    cfg = ExperimentConfig(**cfg, snr_db=6.0, seed=1, min_bit_errors=0,
+                           max_bits=cfg["M"] * 5 * 4, experiment="t")
+    rows = run_experiment(cfg)
+    assert rows and rows[-1].seq_set == "avg"
+    assert all(r.bits > 0 for r in rows)
+
+
 def test_nonconverged_runs_are_counted():
     cfg = dict(M=160, alpha=0.8, L=4, snr_db=4.0,
                detectors=("MF", "SLAS", "WSLAS"), seed=2, min_bit_errors=0,
@@ -319,3 +332,31 @@ def test_workers_validation():
     # checked before any point, so an all-infeasible grid still reports it
     with pytest.raises(ConfigError, match="workers must be >= 1"):
         sweep(small_config(), bk_list=(8,), l_list=(64,), workers=0)
+
+
+@pytest.mark.parametrize("M", [1, 64, 128])
+@pytest.mark.parametrize("L", [4, 16, "dense"])
+def test_group_build_equals_per_trial_build(M, L):
+    # five per-transmission trials built as one stack, against each trial
+    # drawn and built alone in the order of a lone trial
+    C = max(int(round(M / 0.8)), 40)
+    L = C if L == "dense" else L
+    A = np.ones(M)
+    ctx = harness._PointCtx(
+        M=M, C=C, L=L, snr_db=6.0, detectors=("MF",), amplitudes=A,
+        params=harness.ChannelParams(A, harness.snr_to_sigma(6.0)),
+        n_prime=10, max_passes=100, sets=None, xcorr=None,
+        audit_detectors=(), trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
+    items = [(0, t) for t in range(5)]
+    b, y, xc, block = harness._build(ctx, items)
+    assert block is None and xc.n_blocks == len(items)
+    for t, item in enumerate(items):
+        rng = harness._trial_rng(ctx, *item)
+        S = harness.gen_sparse_matrix(C, M, L, rng)
+        alone = harness.crosscorrelation(S, A)
+        b_t = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
+        y_t = harness.matched_filter(S, harness.transmit(S, ctx.params, b_t, rng))
+        assert np.array_equal(b[t], b_t)
+        assert np.array_equal(y[t], y_t)
+        for f in ("indptr", "indices", "h_data", "diag"):
+            assert np.array_equal(getattr(xc.block(t), f), getattr(alone, f))

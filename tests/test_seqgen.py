@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lascdma import seqgen
 from lascdma.seqgen import (
     CrossCorr,
     SequenceMatrix,
@@ -130,6 +131,57 @@ def test_crosscorrelation_properties():
             cols, _ = xc.row(i)
             for j in cols:
                 assert np.intersect1d(S.chips[i], S.chips[j]).size > 0
+
+
+def _routes(S):
+    """(indptr, indices, r_data) of S by the gather and chip-index routes,
+    and whether the work rule picks the gather route."""
+    B, C = S.n_blocks, S.n_chips
+    occ = np.bincount(S.stacked_chips(), minlength=B * C).reshape(B, C)
+    pairs = (occ * occ).sum(axis=1)
+    gather = (S.n_bits ** 2 * S.n_nonzero
+              < seqgen._GATHER_PER_PAIR * pairs.mean())
+    return (seqgen._gather_route(S),
+            seqgen._chip_index_route(S, occ, pairs), gather)
+
+
+@pytest.mark.parametrize("L", [1, 3, 4, 12, 16])
+def test_gather_route_equals_chip_index_route(L):
+    # a 3-matrix stack below the route boundary and a 2-matrix one above it
+    picked = []
+    for M, B in ((64, 3), (1024, 2)):
+        S = gen_sparse_matrix(int(round(M / 0.8)), M, L,
+                              [rng_for(10 * L + b) for b in range(B)])
+        by_gather, by_index, gather = _routes(S)
+        picked.append(gather)
+        for u, v in zip(by_gather, by_index):
+            assert np.array_equal(u, v)
+        xc = crosscorrelation(S, np.ones(M))
+        indptr, indices, r_data = by_index
+        assert np.array_equal(xc.indptr, indptr)
+        assert np.array_equal(xc.indices, indices)
+        assert np.array_equal(xc.h_data, r_data)
+        assert np.array_equal(xc.diag, xc.dense_h().reshape(B, M, M)[
+            :, np.arange(M), np.arange(M)].ravel())
+        for b in range(B):  # each block is its matrix alone
+            alone = crosscorrelation(
+                SequenceMatrix(S.n_chips, M, S.chips[b], S.signs[b]), np.ones(M))
+            blk = xc.block(b)
+            for f in ("indptr", "indices", "h_data", "diag"):
+                assert np.array_equal(getattr(blk, f), getattr(alone, f))
+    assert picked == [True, False]
+
+
+def test_routes_keep_a_cancelled_entry():
+    # shared support with sign products +1/2 and -1/2: value 0, entry present
+    S = SequenceMatrix(4, 2, np.array([[0, 1], [0, 1]]),
+                       np.array([[1, 1], [1, -1]]))
+    by_gather, by_index, _ = _routes(S)
+    for u, v in zip(by_gather, by_index):
+        assert np.array_equal(u, v)
+    indptr, indices, r_data = by_gather
+    assert indices.tolist() == [0, 1, 0, 1]
+    assert r_data.tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_identical_columns_give_unit_crosscorrelation():
