@@ -44,7 +44,8 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _INITIAL_PROBE_BITS = 16384
 _MAX_BATCH_TRIALS = 65536
 # array entries a lockstep group may hold: kernel rows x M, plus each fresh
-# matrix's M x max(M, C) (its uniforms or dense matrix, and its H)
+# matrix's M x max(M, C) (its dense matrix or gathered sign sums, and its H;
+# its uniforms pass through the chip sampler's one buffer)
 _LOCKSTEP_ENTRIES = 1 << 18
 
 

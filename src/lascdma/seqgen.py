@@ -32,6 +32,8 @@ import numpy as np
 # 100-170 ns (M = 128..1024); below 50 the gather route was 1.1-5.6x as
 # fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
 _GATHER_PER_PAIR = 50
+# chip-sampler uniforms drawn at a time: 512 KB of doubles stay in cache
+_UNIFORM_BUFFER = 1 << 16
 
 
 @dataclass
@@ -228,16 +230,24 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
         raise ValueError("need at least one column")
     single = not isinstance(rng, (list, tuple))
     rngs = [rng] if single else rng
+    if not rngs:
+        raise ValueError("empty Generator list: need one Generator per matrix")
     if L == C:
         chips = np.broadcast_to(np.arange(C, dtype=np.int32), (len(rngs), M, C))
     else:
         # top-L of i.i.d. uniforms per row = uniform L-subset without
-        # replacement; one matrix at a time keeps the uniforms in cache
+        # replacement.  The M x C uniforms pass through one buffer of whole
+        # rows: filled chunk by chunk, the stream gives the doubles of one
+        # M x C draw, and each row's selection reads only that row, so the
+        # chips and the signs after them are the whole-array draw's.
         chips = np.empty((len(rngs), M, L), dtype=np.int32)
-        u = np.empty((M, C))
+        rows = max(1, _UNIFORM_BUFFER // C)
+        u = np.empty((min(rows, M), C))
         for g, c in zip(rngs, chips):
-            g.random(out=u)
-            c[...] = np.argpartition(u, L, axis=1)[:, :L]
+            for lo in range(0, M, rows):
+                part = u[:min(rows, M - lo)]
+                g.random(out=part)
+                c[lo:lo + len(part)] = np.argpartition(part, L, axis=1)[:, :L]
         chips.sort(axis=-1)
     signs = np.stack([g.integers(0, 2, size=(M, L), dtype=np.int8)
                       for g in rngs]) * 2 - 1
@@ -321,21 +331,26 @@ def _chip_index_route(S, occ, pairs):
     are written in place into arrays sized by their pair counts."""
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
+    # per-pair arrays (start, offset, occupancy, positions, key) in int32
+    # while every value fits, which halves them; int64 beyond
+    it = np.int32 if max(M * M, pairs.max(), cols.size) < 2 ** 31 else np.int64
     cap = int(np.minimum(pairs, M * M).sum())
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
     r_data = np.empty(cap)
     at = 0
     for b in range(B):
-        counts = occ[b]
+        counts = occ[b].astype(it)
         sq = counts * counts
-        chip_of = np.repeat(np.arange(b * C, (b + 1) * C), sq)
-        offset = np.arange(pairs[b]) - np.repeat(np.cumsum(sq) - sq, sq)
-        occ_of = counts[chip_of - b * C]
-        ia = cptr[chip_of] + offset // occ_of
-        ib = cptr[chip_of] + offset % occ_of
+        # pair i of chip c: occupants offset // occ(c) and offset % occ(c)
+        start = np.repeat(cptr[b * C:(b + 1) * C].astype(it), sq)
+        offset = np.arange(pairs[b], dtype=it) - np.repeat(
+            (np.cumsum(sq) - sq).astype(it), sq)
+        occ_of = np.repeat(counts, sq)
+        ia = start + offset // occ_of
+        ib = start + offset % occ_of
         # exact integer sign sums per (row, col) key, divided by L once
-        key = (cols[ia] - b * M).astype(np.int64) * M + (cols[ib] - b * M)
+        key = (cols[ia] - b * M).astype(it, copy=False) * M + (cols[ib] - b * M)
         ukey, pair = np.unique(key, return_inverse=True)
         end = at + ukey.size
         r_data[at:end] = np.bincount(pair, weights=csigns[ia] * csigns[ib]) / L

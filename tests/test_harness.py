@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -170,6 +171,22 @@ def test_fixed_sets_without_las_rows(cfg):
     rows = run_experiment(cfg)
     assert rows and rows[-1].seq_set == "avg"
     assert all(r.bits > 0 for r in rows)
+
+
+@pytest.mark.parametrize("L, digest", [
+    (16, "790f8c495c71ebe9baf600b979390b67713b71557f57a0c05ddf25027e688e47"),
+    (3, "66965cca56859a159b4a8439e6daed9af022d60f4149f10c7ad518a2bc367ce4"),
+], ids=["L=16", "L=3"])
+def test_fixed_set_crosscorrelation_bytes(L, digest):
+    # SHA-256 of the stacked H of the five fixed sets at M = 1024, seed 1,
+    # recorded with the whole-array chip sampler and int64 pair arrays: the
+    # streamed sampler and the int32 chip-index route move no byte
+    n_sets, _, xc = harness._resolve_sets(
+        ExperimentConfig(M=1024, alpha=0.8, L=L, seed=1))
+    h = hashlib.sha256()
+    for a in (xc.indptr, xc.indices, xc.h_data, xc.diag):
+        h.update(a.tobytes())
+    assert n_sets == 5 and h.hexdigest() == digest
 
 
 def test_nonconverged_runs_are_counted():

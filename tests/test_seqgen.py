@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ def test_generator_errors():
         gen_sparse_matrix(4, 1, 5, rng_for(0))
     with pytest.raises(ValueError):
         gen_sparse_matrix(4, 0, 2, rng_for(0))
+    with pytest.raises(ValueError, match="empty Generator list"):
+        gen_sparse_matrix(4, 1, 2, [])
 
 
 def test_generator_deterministic_for_fixed_seed():
@@ -48,6 +51,70 @@ def test_generator_deterministic_for_fixed_seed():
     b = gen_sparse_matrix(64, 32, 4, rng_for(7))
     assert np.array_equal(a.chips, b.chips)
     assert np.array_equal(a.signs, b.signs)
+
+
+def whole_array_draw(C, M, L, g):
+    """The chip sampler's reference: all M x C uniforms in one array, the
+    top L of each row, then the signs from the stream that follows."""
+    u = g.random((M, C))
+    chips = np.sort(np.argpartition(u, L, axis=1)[:, :L], axis=1)
+    return chips, g.integers(0, 2, size=(M, L), dtype=np.int8) * 2 - 1
+
+
+@pytest.mark.parametrize("L", [1, 4095])
+@pytest.mark.parametrize("chunks", [0.5, 2, 2.5])
+def test_streamed_sampler_equals_whole_array_draw(chunks, L):
+    # M under one buffer chunk, a whole number of chunks and a partial last
+    # chunk; L = 1 and L = C - 1
+    C = 4096
+    M = int(chunks * (seqgen._UNIFORM_BUFFER // C))
+    got = gen_sparse_matrix(C, M, L, rng_for(11))
+    chips, signs = whole_array_draw(C, M, L, rng_for(11))
+    assert np.array_equal(got.chips, chips) and np.array_equal(got.signs, signs)
+    stack = gen_sparse_matrix(C, M, L, [rng_for(s) for s in (3, 4, 5)])
+    for b, s in enumerate((3, 4, 5)):
+        chips, signs = whole_array_draw(C, M, L, rng_for(s))
+        assert np.array_equal(stack.chips[b], chips)
+        assert np.array_equal(stack.signs[b], signs)
+
+
+def test_fixed_set_build_memory_is_bounded():
+    # tracemalloc peaks (numpy reports its buffers to it) for one set at
+    # M = 4096, C = 5120, L = 16.  gen_sparse_matrix: 321 MiB with the whole
+    # M x C uniform array, 1.9 MiB streamed.  crosscorrelation: 94 MiB with
+    # int64 pair arrays, 63 MiB with int32.
+    tracemalloc.start()
+    try:
+        S = gen_sparse_matrix(5120, 4096, 16, rng_for(1))
+        gen_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        crosscorrelation(S, np.ones(4096))
+        xcorr_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert gen_peak < 8 * 2 ** 20
+    assert xcorr_peak < 80 * 2 ** 20
+
+
+def test_chip_index_route_with_int64_keys():
+    # M^2 >= 2^31: the (row, column) keys need int64.  L = 1 over many chips
+    # keeps the pairs few: row k holds the columns on column k's chip.
+    C, M = 1 << 20, 46341
+    g = rng_for(5)
+    S = SequenceMatrix(C, M, g.integers(0, C, (M, 1)),
+                       g.integers(0, 2, (M, 1), dtype=np.int8) * 2 - 1)
+    xc = crosscorrelation(S, 1.0)
+    chips, signs = S.chips[:, 0], S.signs[:, 0].astype(float)
+    occ = np.bincount(chips, minlength=C)[chips]
+    assert np.array_equal(np.diff(xc.indptr), occ)
+    alone = np.flatnonzero(occ == 1)
+    assert np.array_equal(xc.indices[xc.indptr[alone]], alone)
+    for k in np.flatnonzero(occ > 1):
+        cols = np.flatnonzero(chips == chips[k])
+        idx, val = xc.row(k)
+        assert np.array_equal(idx, cols)
+        assert np.array_equal(val, signs[k] * signs[cols])
 
 
 def test_sign_frequency_and_position_uniformity():
