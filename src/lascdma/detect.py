@@ -375,13 +375,14 @@ def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
         block = [first.setdefault(id(xc), len(first)) for xc in xcorrs]
         xcorrs = CrossCorr.stack(list({id(xc): xc for xc in xcorrs}.values()))
     st = _Lockstep(y, xcorrs, amplitudes, b0, problem, block)
-    n_prime = np.broadcast_to(np.asarray(n_prime, dtype=np.int64), (st.K,))
-    max_passes = np.broadcast_to(np.asarray(max_passes, dtype=np.int64),
-                                 (st.K,))
-    if np.any(max_passes < 1):
-        raise ValueError("max_passes must be >= 1")
-    if np.any(n_prime < 0):
-        raise ValueError("n_prime must be >= 0")
+    n_prime, max_passes = np.asarray(n_prime), np.asarray(max_passes)
+    if np.any(max_passes < 1) or np.any(max_passes > (2**63 - 1) // st.M):
+        # a pass budget counts max_passes * M steps in int64
+        raise ValueError("max_passes must be in [1, 2**63 / M)")
+    if np.any(n_prime < 0) or np.any(n_prime >= 2**63):
+        raise ValueError("n_prime must be in [0, 2**63)")
+    n_prime, max_passes = (np.broadcast_to(v.astype(np.int64), (st.K,))
+                           for v in (n_prime, max_passes))
     converged = _ascend(st, np.arange(st.K), n_prime, max_passes)
     return LockstepRuns(bits=st.B[:, :st.M].astype(np.int8),
                         converged=converged, steps=st.steps, flips=st.flips,
@@ -401,8 +402,8 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
     check_gradient recomputes g from scratch after every flip event and
     raises if the incremental value drifts beyond 1e-9 (debug aid).
     """
-    if max_passes < 1:
-        raise ValueError("max_passes must be >= 1")
+    if not 1 <= max_passes <= (2**63 - 1) // np.size(y):
+        raise ValueError("max_passes must be in [1, 2**63 / M)")
     st = _Lockstep(np.asarray(y)[None], xcorr, amplitudes,
                    np.asarray(b0)[None], [0], None, record_flips,
                    check_gradient)

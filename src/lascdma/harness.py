@@ -16,6 +16,7 @@ bit-identical for a fixed seed under any worker count.
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -157,10 +158,10 @@ class ExperimentConfig:
             raise ConfigError("min_bit_errors must be >= 0")
         if self.max_bits < self.M:
             raise ConfigError("max_bits must allow at least one transmission")
-        if self.max_passes < 1:
-            raise ConfigError("max_passes must be >= 1")
-        if self.n_prime < 0:
-            raise ConfigError("n_prime must be >= 0")
+        if not 1 <= self.max_passes * self.M < 2 ** 63:
+            raise ConfigError("max_passes must be in [1, 2**63 / M)")
+        if not 0 <= self.n_prime < 2 ** 63:
+            raise ConfigError("n_prime must be in [0, 2**63)")
         if self.seq_sets not in ("auto", "per_tx"):
             try:
                 n = int(self.seq_sets)
@@ -426,9 +427,14 @@ def _resolve_sets(config):
     if policy == "per_tx":
         return 1, None, None
     n_sets = int(policy)
-    # one stack, each set's H written into its block
+    # one stack, each set's H written into its block.  The sets are drawn
+    # once per point, here in the main process, on a thread per usable core
+    # whatever --workers is; per-transmission matrices are drawn in _build
+    # on the calling thread
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     S = gen_sparse_matrix(C, M, L, [_set_matrix_rng(config.seed, M, C, L, s)
-                                    for s in range(n_sets)])
+                                    for s in range(n_sets)], threads=cores)
     sets = [SequenceMatrix(C, M, c, g) for c, g in zip(S.chips, S.signs)]
     return n_sets, sets, crosscorrelation(S, np.ones(M))
 

@@ -4,23 +4,24 @@ A spreading matrix has M unit-norm columns over C chips.  Each column has
 exactly L nonzero chips at distinct random positions, and every nonzero is
 +1/sqrt(L) or -1/sqrt(L) with equal probability.  L == C is the dense
 special case (ordinary random spreading).  A stack of B matrices, each
-drawn on its own, has (B, M, L) chips and signs and is checked, correlated
-and transmitted through as one unit; its crosscorrelation is one
-block-stacked CrossCorr.
+drawn from its own Generator (on up to `threads` threads, which the
+harness asks for only for its fixed sets), has (B, M, L) chips and signs
+and is checked, correlated and transmitted through as one unit; its
+crosscorrelation is one block-stacked CrossCorr.
 
 Crosscorrelations sum each column pair's sign products as integers and
 divide by L once, so every value of S^T S is the correctly rounded n/L of
 its integer sign sum n, by one of two routes.  The chip-index route pairs
-only the columns that share a chip, through an inverted chip index: its
-work is pairs = sum_c occupancy(c)^2.  The gather route gathers an int8
-C x M sign matrix at each column's L chips and sums in int16, M^2 L entries
-per matrix and no BLAS (tiny multi-threaded products oversubscribe the
-worker processes); it runs when M^2 L < _GATHER_PER_PAIR * pairs, i.e. for
-small M.  When 2L > C every pair overlaps, and each block's values come
-from the dense product S^T S.  Entries whose sign products cancel to
-exactly 0.0 are kept in the sparse structure: the pair shares chip support,
-and a sparse detector implementation stores and touches that entry
-regardless of its value.
+only the columns that share a chip, through an inverted chip index, and
+sums by one in-place sort of (row, column, sign) keys: its work is pairs =
+sum_c occupancy(c)^2.  The gather route gathers an int8 C x M sign matrix
+at each column's L chips and sums in int16, M^2 L entries per matrix and no
+BLAS (tiny multi-threaded products oversubscribe the worker processes); it
+runs when M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C
+every pair overlaps, and each block's values come from the dense product
+S^T S.  Entries whose sign products cancel to exactly 0.0 are kept in the
+sparse structure: the pair shares chip support, and a sparse detector
+implementation stores and touches that entry regardless of its value.
 """
 
 from dataclasses import dataclass
@@ -214,14 +215,17 @@ class CrossCorr:
             for xc in map(self.block, range(self.n_blocks))])
 
 
-def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
+def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     """Draw a random spreading matrix: M columns, L distinct uniform chip
     positions each, independent equiprobable signs.
 
     rng is a seeded numpy Generator; output is deterministic for a fixed
     stream.  Given a list of B Generators instead, it draws a stack: matrix
     b from rng[b], exactly as alone.  Duplicate columns are allowed (the
-    random model does not exclude them).
+    random model does not exclude them).  With threads > 1, a stack of
+    distinct Generators is drawn on up to that many threads, one matrix per
+    thread at a time, each through a buffer of its own; the output is the
+    same.
     """
     C, M, L = n_chips, n_bits, n_nonzero
     if not 1 <= L <= C:
@@ -236,18 +240,29 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
         chips = np.broadcast_to(np.arange(C, dtype=np.int32), (len(rngs), M, C))
     else:
         # top-L of i.i.d. uniforms per row = uniform L-subset without
-        # replacement.  The M x C uniforms pass through one buffer of whole
+        # replacement.  The M x C uniforms pass through a buffer of whole
         # rows: filled chunk by chunk, the stream gives the doubles of one
         # M x C draw, and each row's selection reads only that row, so the
         # chips and the signs after them are the whole-array draw's.
         chips = np.empty((len(rngs), M, L), dtype=np.int32)
         rows = max(1, _UNIFORM_BUFFER // C)
-        u = np.empty((min(rows, M), C))
-        for g, c in zip(rngs, chips):
-            for lo in range(0, M, rows):
-                part = u[:min(rows, M - lo)]
-                g.random(out=part)
-                c[lo:lo + len(part)] = np.argpartition(part, L, axis=1)[:, :L]
+        def draw(t):  # matrices t, t + n, ... through a buffer of their own
+            u = np.empty((min(rows, M), C))
+            for g, c in zip(rngs[t::n], chips[t::n]):
+                for lo in range(0, M, rows):
+                    part = u[:min(rows, M - lo)]
+                    g.random(out=part)
+                    c[lo:lo + len(part)] = np.argpartition(part, L, 1)[:, :L]
+        # the fill and the partition release the GIL.  A Generator shared by
+        # two matrices is drawn from in order, on one thread
+        distinct = len({id(g) for g in rngs}) == len(rngs)
+        n = min(len(rngs), threads) if distinct else 1
+        if n == 1:
+            draw(0)
+        else:  # imported here: at module level it would slow every start-up
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(n) as pool:
+                list(pool.map(draw, range(n)))
         chips.sort(axis=-1)
     signs = np.stack([g.integers(0, 2, size=(M, L), dtype=np.int8)
                       for g in rngs]) * 2 - 1
@@ -327,35 +342,41 @@ def _gather_route(S):
 
 def _chip_index_route(S, occ, pairs):
     """(indptr, indices, r_data) block by block: each chip's occupant pairs
-    give one sign product each, summed per (row, column) key.  The blocks
-    are written in place into arrays sized by their pair counts."""
+    give one (row, column, signs agree) key, summed per (row, column) after
+    an in-place sort, into arrays sized by the pair counts and then shrunk."""
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
-    # per-pair arrays (start, offset, occupancy, positions, key) in int32
-    # while every value fits, which halves them; int64 beyond
-    it = np.int32 if max(M * M, pairs.max(), cols.size) < 2 ** 31 else np.int64
+    # per-pair arrays (positions, key) in int32 while every value fits,
+    # which halves them; int64 beyond
+    it = np.int32 if max(2 * M * M, pairs.max(), cols.size) < 2**31 else np.int64
+    cols = (cols % M).astype(it, copy=False)  # column within the block
     cap = int(np.minimum(pairs, M * M).sum())
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
     r_data = np.empty(cap)
     at = 0
     for b in range(B):
-        counts = occ[b].astype(it)
-        sq = counts * counts
-        # pair i of chip c: occupants offset // occ(c) and offset % occ(c)
-        start = np.repeat(cptr[b * C:(b + 1) * C].astype(it), sq)
-        offset = np.arange(pairs[b], dtype=it) - np.repeat(
-            (np.cumsum(sq) - sq).astype(it), sq)
-        occ_of = np.repeat(counts, sq)
-        ia = start + offset // occ_of
-        ib = start + offset % occ_of
-        # exact integer sign sums per (row, col) key, divided by L once
-        key = (cols[ia] - b * M).astype(it, copy=False) * M + (cols[ib] - b * M)
-        ukey, pair = np.unique(key, return_inverse=True)
+        # the pairs of chip c run in occ(c) rows, one per position p of c in
+        # the chip index: p against each position of c from the first, s(c)
+        occ_p = np.repeat(occ[b].astype(it), occ[b])  # occ(c) at positions
+        ia = np.repeat(np.arange(cptr[b * C], cptr[b * C + C], dtype=it), occ_p)
+        shift = np.cumsum(occ_p, dtype=it) - occ_p - np.repeat(
+            cptr[b * C:b * C + C].astype(it), occ[b])  # row start - s(c)
+        ib = np.arange(pairs[b], dtype=it) - np.repeat(shift, occ_p)
+        # key = (row, col) << 1 | (sign product > 0); the exact integer sign
+        # sum n of a (row, col) is the running sum of the +/-1 products at
+        # its last key minus that at the key before, divided by L once
+        key = cols[ia] * (2 * M) + cols[ib] * 2 + (csigns[ia] == csigns[ib])
+        del ia, ib
+        key.sort()
+        last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
+        ukey, n = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
         end = at + ukey.size
-        r_data[at:end] = np.bincount(pair, weights=csigns[ia] * csigns[ib]) / L
+        np.divide(np.diff(n, prepend=0), L, out=r_data[at:end])
         indices[at:end] = ukey % M
         indptr[b * M + 1:(b + 1) * M + 1] = at + np.cumsum(
             np.bincount(ukey // M, minlength=M))
         at = end
-    return indptr, indices[:at], r_data[:at]
+    for a in (indices, r_data):  # shrunk in place: a copy would raise the peak
+        a.resize(at, refcheck=False)
+    return indptr, indices, r_data

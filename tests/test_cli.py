@@ -90,6 +90,15 @@ def test_cli_import_loads_no_scipy():
     assert lines[1] == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    """The fixed-set sampler imports its thread pool only when it draws on
+    threads: a fresh interpreter that imports the CLI has not loaded it."""
+    probe = "import sys, lascdma.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                          check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_preset_deterministic_across_runs_and_workers(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -253,6 +262,12 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     ("snr_db=-5000", "snr_db = -5000.0 is below -4194.304 dB"),
     ("snr_db=2,2.0004", "snr_db values 2.0 and 2.0004 share one trial stream"),
     ("snr_db=4,4", "snr_db values 4.0 and 4.0 share one trial stream"),
+    # a pass budget counts max_passes * M steps in int64
+    ("max_passes=144115188075855872", "max_passes must be in [1, 2**63 / M)"),
+    ("max_passes=9223372036854775807", "max_passes must be in [1, 2**63 / M)"),
+    ("max_passes=1e30", "max_passes must be in [1, 2**63 / M)"),
+    ("n_prime=1e30", "n_prime must be in [0, 2**63)"),
+    ("n_prime=9223372036854775808", "n_prime must be in [0, 2**63)"),
 ])
 def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
     out = tmp_path / "x.csv"

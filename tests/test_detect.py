@@ -434,6 +434,24 @@ def test_las_input_validation():
             las_lockstep(y[None], [xc], A, np.ones((1, 1)), 0, problem=problem)
 
 
+def test_pass_budgets_must_fit_int64():
+    # a row's sequential budget counts max_passes * M steps in int64
+    xc = xcorr_from_dense([[1.0, 0.5], [0.5, 1.0]])
+    y, A, b0 = np.array([1.0, -1.0]), np.ones(2), np.ones((1, 2))
+    top = (2 ** 63 - 1) // 2
+    runs = las_lockstep(y[None], [xc], A, b0, [0, 3], max_passes=top,
+                        problem=[0, 0])
+    assert runs.converged.all()
+    assert slas_detect(y, xc, A, b0[0], max_passes=top).converged
+    for n_prime, max_passes in ((0, top + 1), (0, 10 ** 30), (2 ** 63, 5),
+                                (10 ** 30, 5)):
+        with pytest.raises(ValueError, match="must be in"):
+            las_lockstep(y[None], [xc], A, b0, n_prime, max_passes=max_passes)
+    for max_passes in (top + 1, 10 ** 30):
+        with pytest.raises(ValueError, match="must be in"):
+            slas_detect(y, xc, A, b0[0], max_passes=max_passes)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 

@@ -1,12 +1,14 @@
+import concurrent.futures
 import hashlib
 import io
 import math
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from lascdma import harness
+from lascdma import harness, seqgen
 from lascdma.harness import (
     ConfigError,
     ExperimentConfig,
@@ -377,3 +379,33 @@ def test_group_build_equals_per_trial_build(M, L):
         assert np.array_equal(y[t], y_t)
         for f in ("indptr", "indices", "h_data", "diag"):
             assert np.array_equal(getattr(xc.block(t), f), getattr(alone, f))
+
+
+def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
+    # at M = 256 a matrix fills the chip sampler's buffer more than once:
+    # the five fixed sets are drawn on a thread per usable core (8 here),
+    # five per-transmission trials built as one lockstep group on none
+    pools = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, n):
+            pools.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    M, C, L = 256, 320, 4
+    assert M * C > seqgen._UNIFORM_BUFFER
+    harness._resolve_sets(ExperimentConfig(M=M, alpha=0.8, L=L, seed=1,
+                                           seq_sets="5"))
+    assert pools == [5]
+    A = np.ones(M)
+    ctx = harness._PointCtx(
+        M=M, C=C, L=L, snr_db=6.0, detectors=("MF",), amplitudes=A,
+        params=harness.ChannelParams(A, harness.snr_to_sigma(6.0)),
+        n_prime=10, max_passes=100, sets=None, xcorr=None,
+        audit_detectors=(), trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
+    harness._build(ctx, [(0, t) for t in range(5)])
+    assert pools == [5]

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -63,26 +65,67 @@ def whole_array_draw(C, M, L, g):
 
 @pytest.mark.parametrize("L", [1, 4095])
 @pytest.mark.parametrize("chunks", [0.5, 2, 2.5])
-def test_streamed_sampler_equals_whole_array_draw(chunks, L):
+def test_streamed_sampler_equals_whole_array_draw(chunks, L, monkeypatch):
     # M under one buffer chunk, a whole number of chunks and a partial last
-    # chunk; L = 1 and L = C - 1
-    C = 4096
+    # chunk; L = 1 and L = C - 1.  A stack of five sets asked for on 8
+    # threads is drawn on five (switching often), each set as drawn alone;
+    # one thread per call, as by default, makes no pool.
+    pools = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, n):
+            pools.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    C, seeds = 4096, range(3, 8)
     M = int(chunks * (seqgen._UNIFORM_BUFFER // C))
     got = gen_sparse_matrix(C, M, L, rng_for(11))
     chips, signs = whole_array_draw(C, M, L, rng_for(11))
     assert np.array_equal(got.chips, chips) and np.array_equal(got.signs, signs)
-    stack = gen_sparse_matrix(C, M, L, [rng_for(s) for s in (3, 4, 5)])
-    for b, s in enumerate((3, 4, 5)):
+    alone = gen_sparse_matrix(C, M, L, [rng_for(s) for s in seeds])
+    assert pools == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stack = gen_sparse_matrix(C, M, L, [rng_for(s) for s in seeds],
+                                  threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [5]
+    for b, s in enumerate(seeds):
         chips, signs = whole_array_draw(C, M, L, rng_for(s))
         assert np.array_equal(stack.chips[b], chips)
         assert np.array_equal(stack.signs[b], signs)
+        assert np.array_equal(alone.chips[b], chips)
+        assert np.array_equal(alone.signs[b], signs)
+
+
+def test_shared_generator_is_drawn_in_order(monkeypatch):
+    # one Generator for three matrices: each draws on from where the last
+    # stopped, on one thread even when more are allowed
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda n: pools.append(n))
+    C, M, L = 2048, 96, 8
+    g = rng_for(5)
+    stack = gen_sparse_matrix(C, M, L, [g] * 3, threads=4)
+    ref = rng_for(5)
+    u = [ref.random((M, C)) for _ in range(3)]
+    signs = [ref.integers(0, 2, size=(M, L), dtype=np.int8) * 2 - 1
+             for _ in range(3)]
+    for b in range(3):
+        chips = np.sort(np.argpartition(u[b], L, axis=1)[:, :L], axis=1)
+        assert np.array_equal(stack.chips[b], chips)
+        assert np.array_equal(stack.signs[b], signs[b])
+    assert pools == []
 
 
 def test_fixed_set_build_memory_is_bounded():
     # tracemalloc peaks (numpy reports its buffers to it) for one set at
     # M = 4096, C = 5120, L = 16.  gen_sparse_matrix: 321 MiB with the whole
     # M x C uniform array, 1.9 MiB streamed.  crosscorrelation: 94 MiB with
-    # int64 pair arrays, 63 MiB with int32.
+    # int64 pair arrays, 63 MiB with int32, 35 MiB with the in-place sort of
+    # int32 keys in place of np.unique.
     tracemalloc.start()
     try:
         S = gen_sparse_matrix(5120, 4096, 16, rng_for(1))
@@ -94,7 +137,7 @@ def test_fixed_set_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert gen_peak < 8 * 2 ** 20
-    assert xcorr_peak < 80 * 2 ** 20
+    assert xcorr_peak < 50 * 2 ** 20
 
 
 def test_chip_index_route_with_int64_keys():
@@ -115,6 +158,38 @@ def test_chip_index_route_with_int64_keys():
         idx, val = xc.row(k)
         assert np.array_equal(idx, cols)
         assert np.array_equal(val, signs[k] * signs[cols])
+
+
+@pytest.mark.parametrize("M", [32767, 32768, 32769])
+def test_chip_index_route_at_the_key_dtype_boundary(M):
+    # the sort keys (row, column, sign bit) are int32 while 2 M^2 < 2^31:
+    # M = 32767 has int32 keys, M = 32768 (2 M^2 = 2^31) and up int64, and
+    # int32 keys would overflow from M = 32769.  L = 1 over
+    # C = M / 8 chips: about 9 M pairs, down to the last row and column.
+    C = M // 8
+    g = rng_for(6)
+    S = SequenceMatrix(C, M, g.integers(0, C, (M, 1)),
+                       g.integers(0, 2, (M, 1), dtype=np.int8) * 2 - 1)
+    xc = crosscorrelation(S, 1.0)
+    chips, signs = S.chips[:, 0], S.signs[:, 0].astype(float)
+    on_chip = np.split(np.argsort(chips, kind="stable"),
+                       np.cumsum(np.bincount(chips, minlength=C))[:-1])
+    rows = [on_chip[c] for c in chips]  # row k: the columns on k's chip
+    assert np.array_equal(xc.indptr, np.cumsum([0] + [r.size for r in rows]))
+    assert np.array_equal(xc.indices, np.concatenate(rows))
+    assert np.array_equal(xc.h_data, np.concatenate(
+        [signs[k] * signs[r] for k, r in enumerate(rows)]))
+
+
+def test_chip_index_route_holds_no_idle_slots():
+    # the arrays are sized by the pair count, then shrunk in place to the
+    # entries: the CrossCorr owns exactly nnz of each, and no larger base
+    S = gen_sparse_matrix(1280, 1024, 16, [rng_for(s) for s in (1, 2)])
+    xc = crosscorrelation(S, 1.0)
+    occ = np.bincount(S.stacked_chips(), minlength=2 * 1280)
+    assert (occ * occ).sum() > 1.05 * xc.nnz  # so there were idle slots
+    for a in (xc.indices, xc.h_data):
+        assert a.size == xc.nnz and a.base is None
 
 
 def test_sign_frequency_and_position_uniformity():
