@@ -44,8 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import CrossCorr
-
 MAX_EXHAUSTIVE_BITS = 20  # hard cap for the brute-force search
 
 
@@ -59,8 +57,6 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("sequential", "parallel", "hybrid"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "hybrid" and self.parallel_steps < 0:
-            raise ValueError("parallel_steps must be >= 0")
 
     @classmethod
     def sequential(cls):
@@ -138,15 +134,16 @@ class _Lockstep:
 
     Row r runs on problem problem[r] = (y, start vector, H), every H a
     block of one stacked CrossCorr (problem p's is block hblock[p], default
-    p); rows of one problem share its initial gradient.  Rows stay in the
+    p), with n_prime[r] all-bit steps and a budget of max_passes[r] passes;
+    rows of one problem share its initial gradient.  Rows stay in the
     caller's order, and any row order is exact.  Bits, gradients and
     negated H diagonals are (K, Mp) arrays, Mp being M rounded up to whole
     blocks of _BLOCK bits; the padding never violates.  The debug switches
     of las_run act per flip event; only las_run sets them, with K = 1.
     """
 
-    def __init__(self, y, xcorr, amplitudes, b0, problem, hblock,
-                 record_flips=False, check_gradient=False):
+    def __init__(self, y, xcorr, amplitudes, b0, problem, hblock, n_prime,
+                 max_passes, record_flips=False, check_gradient=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         b0 = np.atleast_2d(np.asarray(b0))
         A = np.asarray(amplitudes, dtype=np.float64)
@@ -163,6 +160,14 @@ class _Lockstep:
             raise ValueError("need one H block per problem")
         self.K = K = problem.size
         self.M = M
+        n_prime, max_passes = np.asarray(n_prime), np.asarray(max_passes)
+        if np.any(max_passes < 1) or np.any(max_passes > (2**63 - 1) // M):
+            # a pass budget counts max_passes * M steps in int64
+            raise ValueError("max_passes must be in [1, 2**63 / M)")
+        if np.any(n_prime < 0) or np.any(n_prime >= 2**63):
+            raise ValueError("n_prime must be in [0, 2**63)")
+        self.n_prime = np.broadcast_to(n_prime.astype(np.int64), (K,))
+        self.max_passes = np.broadcast_to(max_passes.astype(np.int64), (K,))
         self.nb = -(-M // _BLOCK)
         self.Mp = Mp = self.nb * _BLOCK
         self.y, self.A, self.xc = y, A, xcorr
@@ -329,23 +334,21 @@ class _Lockstep:
         self.passes[r] += -(-used // M)  # ceil
         return converged
 
-    def abs_row_sums(self, rows):
-        return self.xc.abs_row_sums.reshape(-1, self.M)[self.blk[rows]]
 
-
-def _ascend(st, rows, n_prime, max_passes):
-    """n_prime all-bit steps per row (thresholds sum_j |H_kj|; a row stops
-    early at a step that flips nothing), then the sequential phase on the
-    rest of the row's pass budget.  Returns the converged flags."""
-    left = np.minimum(n_prime, max_passes)
+def _ascend(st, rows):
+    """Each row's n_prime all-bit steps (thresholds sum_j |H_kj|; a row
+    stops early at a step that flips nothing), then the sequential phase on
+    the rest of its pass budget.  Returns the converged flags."""
+    row_sums = st.xc.abs_row_sums.reshape(-1, st.M)
+    left = np.minimum(st.n_prime[rows], st.max_passes[rows])
     todo = rows[left > 0]
     left = left[left > 0]
     while todo.size:
-        moved = st.set_step(todo, st.abs_row_sums(todo))
+        moved = st.set_step(todo, row_sums[st.blk[todo]])
         left -= 1
         keep = moved & (left > 0)
         todo, left = todo[keep], left[keep]
-    return st.sequential(rows, max_passes - st.passes[rows])
+    return st.sequential(rows, st.max_passes[rows] - st.passes[rows])
 
 
 def _indices(v, n, name):
@@ -356,34 +359,22 @@ def _indices(v, n, name):
     return v.astype(np.int64)
 
 
-def las_lockstep(y, xcorrs, amplitudes, b0, n_prime, max_passes=100,
+def las_lockstep(y, xcorr, amplitudes, b0, n_prime, max_passes=100,
                  problem=None, block=None):
     """Run K SLAS/WSLAS detectors in lockstep and return LockstepRuns.
 
-    Problem p < P is (y[p], b0[p], its H).  xcorrs is one stacked CrossCorr
-    whose block block[p] is problem p's H (default: block p), or a list of
-    P CrossCorr, stacked once per call, where problems sharing an H pass the
-    same object.  Row r runs on problem problem[r], an integer in [0, P)
-    (default: row p on problem p): n_prime[r] all-bit steps (0 is SLAS),
-    then the cyclic sequential phase, within max_passes[r] passes.  n_prime
-    and max_passes broadcast over the rows.  Each row's result is exactly
-    that of its own one-row run (las_run), whatever the other rows are and
-    their order.
+    Problem p < P is (y[p], b0[p], its H).  xcorr is one stacked CrossCorr
+    whose block block[p] is problem p's H (default: block p); problems that
+    share an H name the same block.  Row r runs on problem problem[r], an
+    integer in [0, P) (default: row p on problem p): n_prime[r] all-bit
+    steps (0 is SLAS), then the cyclic sequential phase, within
+    max_passes[r] passes.  n_prime and max_passes broadcast over the rows.
+    Each row's result is exactly that of its own one-row run (las_run),
+    whatever the other rows are and their order.
     """
-    if isinstance(xcorrs, (list, tuple)):
-        first = {}
-        block = [first.setdefault(id(xc), len(first)) for xc in xcorrs]
-        xcorrs = CrossCorr.stack(list({id(xc): xc for xc in xcorrs}.values()))
-    st = _Lockstep(y, xcorrs, amplitudes, b0, problem, block)
-    n_prime, max_passes = np.asarray(n_prime), np.asarray(max_passes)
-    if np.any(max_passes < 1) or np.any(max_passes > (2**63 - 1) // st.M):
-        # a pass budget counts max_passes * M steps in int64
-        raise ValueError("max_passes must be in [1, 2**63 / M)")
-    if np.any(n_prime < 0) or np.any(n_prime >= 2**63):
-        raise ValueError("n_prime must be in [0, 2**63)")
-    n_prime, max_passes = (np.broadcast_to(v.astype(np.int64), (st.K,))
-                           for v in (n_prime, max_passes))
-    converged = _ascend(st, np.arange(st.K), n_prime, max_passes)
+    st = _Lockstep(y, xcorr, amplitudes, b0, problem, block, n_prime,
+                   max_passes)
+    converged = _ascend(st, np.arange(st.K))
     return LockstepRuns(bits=st.B[:, :st.M].astype(np.int8),
                         converged=converged, steps=st.steps, flips=st.flips,
                         additions=st.additions, passes=st.passes)
@@ -402,19 +393,16 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
     check_gradient recomputes g from scratch after every flip event and
     raises if the incremental value drifts beyond 1e-9 (debug aid).
     """
-    if not 1 <= max_passes <= (2**63 - 1) // np.size(y):
-        raise ValueError("max_passes must be in [1, 2**63 / M)")
-    st = _Lockstep(np.asarray(y)[None], xcorr, amplitudes,
-                   np.asarray(b0)[None], [0], None, record_flips,
-                   check_gradient)
+    st = _Lockstep(np.asarray(y)[None], xcorr, amplitudes, np.asarray(b0)[None],
+                   [0], None, schedule.parallel_steps, max_passes,
+                   record_flips, check_gradient)
     row = np.zeros(1, dtype=np.int64)
     overhead = xcorr.nnz  # initial gradient work
 
     if schedule.kind in ("sequential", "hybrid"):
         if schedule.kind == "hybrid":
             overhead += xcorr.nnz  # one pass of |H| row sums
-        converged = _ascend(st, row, np.array([schedule.parallel_steps]),
-                            np.array([max_passes]))[0]
+        converged = _ascend(st, row)[0]
     elif schedule.kind == "parallel":
         overhead += xcorr.nnz
         converged = False

@@ -179,6 +179,9 @@ class ExperimentConfig:
                 snr_to_sigma(s)
             except ValueError as e:
                 raise ConfigError(str(e))
+            if math.isinf(s * 1000.0) and not math.isinf(s):
+                raise ConfigError(f"snr_db = {s!r} is too large for a trial "
+                                  f"stream, which encodes 0.001 dB steps")
             code = _snr_code(s)
             if code < 0:
                 raise ConfigError(f"snr_db = {s!r} is below -4194.304 dB, "
@@ -189,7 +192,10 @@ class ExperimentConfig:
                     f"trial stream (SNRs are told apart to 0.001 dB)")
             streams[code] = s
         dets = self.normalized_detectors()
-        # feasibility of the point itself
+        # feasibility of the point itself; chip indices are int32
+        if not self.M / self.alpha < 2 ** 31 - 0.5:
+            raise InfeasibleError(
+                f"C = round(M/alpha) = {self.M / self.alpha:.10g} reaches 2**31")
         if self.C < 1:
             raise InfeasibleError(
                 f"C = round(M/alpha) = {self.C}: no chips at this load"

@@ -167,18 +167,6 @@ class CrossCorr:
                          self.indices[lo:hi], self.h_data[lo:hi],
                          self.diag[b * M:(b + 1) * M])
 
-    @staticmethod
-    def stack(xcorrs):
-        """One stack whose blocks are copies of the given CrossCorr."""
-        if any(xc.n_bits != xcorrs[0].n_bits for xc in xcorrs):
-            raise ValueError("stacked blocks must have one size")
-        at = np.cumsum([0] + [xc.nnz for xc in xcorrs])
-        indptr = np.concatenate(
-            [[0]] + [xc.indptr[1:] + a for xc, a in zip(xcorrs, at)])
-        return CrossCorr(xcorrs[0].n_bits, indptr, *(
-            np.concatenate([getattr(xc, f) for xc in xcorrs])
-            for f in ("indices", "h_data", "diag")))
-
     def h_matvec(self, x, block=None):
         """H @ x through the raw row lists.  On a stack, x holds one vector
         per problem, (P, M), and problem p is multiplied by block block[p]

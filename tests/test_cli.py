@@ -196,6 +196,18 @@ def test_infeasible_point_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("alpha, C", [("1e-320", "inf"), ("1e-300", "1.6e+301")])
+def test_unrepresentable_chip_count_is_infeasible(tmp_path, capsys, alpha, C):
+    # M/alpha overflows, or C = round(M/alpha) overflows the int32 chips
+    assert main(["fig1", "--set", "bk_list=16", "--set", "l_list=4",
+                 "--set", "max_bits=64", "--set", "min_bit_errors=0",
+                 "--set", f"alpha={alpha}", "--out",
+                 str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"infeasible point L=4,M=16: C = round(M/alpha) = {C}" in err
+    assert "reaches 2**31" in err and "Traceback" not in err
+
+
 def test_sweep_with_infeasible_point_continues(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -262,6 +274,8 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     ("snr_db=-5000", "snr_db = -5000.0 is below -4194.304 dB"),
     ("snr_db=2,2.0004", "snr_db values 2.0 and 2.0004 share one trial stream"),
     ("snr_db=4,4", "snr_db values 4.0 and 4.0 share one trial stream"),
+    # snr_db * 1000 overflows: no 0.001 dB stream code
+    ("snr_db=1e308", "snr_db = 1e+308 is too large for a trial stream"),
     # a pass budget counts max_passes * M steps in int64
     ("max_passes=144115188075855872", "max_passes must be in [1, 2**63 / M)"),
     ("max_passes=9223372036854775807", "max_passes must be in [1, 2**63 / M)"),

@@ -13,7 +13,8 @@ from lascdma.detect import (
     slas_detect,
     wslas_detect,
 )
-from lascdma.seqgen import CrossCorr, crosscorrelation, gen_sparse_matrix
+from lascdma.seqgen import (CrossCorr, SequenceMatrix, crosscorrelation,
+                            gen_sparse_matrix)
 
 import helpers
 import oracles
@@ -333,30 +334,42 @@ def test_max_passes_exhaustion_reports_unconverged():
     assert run.steps == 32
 
 
-def _lockstep_batch(seed, M=100):
-    """Problems on three H (L = 4, L = 16, dense), two observations each of
-    the first two (rows sharing an H, as with fixed sets); rows mix SLAS
-    and WSLAS, MF and inverted-MF starts, and budgets of 100 and 1 pass.
-    Returns (ys, xcorrs, A, b0, n_prime, max_passes, problem, col_nnz)."""
+def _stacked_h(seed, C, M, L, A, full=()):
+    """B = 3 matrices drawn as one stack, as the harness draws its fixed
+    sets, and their H from one crosscorrelation call.  Every column of a
+    block in `full` is moved onto chip 0 (its first chip), so all pairs of
+    that block overlap and its H is full.  Returns (S, xc)."""
+    S = gen_sparse_matrix(C, M, L, [np.random.default_rng([seed, b])
+                                    for b in range(3)])
+    chips = S.chips.copy()
+    chips[list(full), :, 0] = 0
+    S = SequenceMatrix(C, M, chips, S.signs)
+    return S, crosscorrelation(S, A)
+
+
+def _lockstep_batch(seed, M=100, L=4):
+    """Problems on the three blocks of one stack (two sparse, one full),
+    two observations each of the first two (rows sharing an H, as with
+    fixed sets); rows mix SLAS and WSLAS, MF and inverted-MF starts, and
+    budgets of 100 and 1 pass.  Returns (ys, xc, A, b0, n_prime, max_passes,
+    problem, block, col_nnz), col_nnz per block."""
     rng = np.random.default_rng(seed)
     C = int(round(M / 0.8))
     A = np.ones(M)
-    ys, xcs, b0, nnz = [], [], [], []
-    for L, n_obs in ((4, 2), (16, 2), (C, 1)):
-        S = gen_sparse_matrix(C, M, L, rng)
-        xc = crosscorrelation(S, A)
-        for _ in range(n_obs):
-            b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
-            y = matched_filter(S, transmit(S, ChannelParams(A, 0.6), b, rng))
-            ys.append(y)
-            xcs.append(xc)
-            b0.append(mf_detect(y) if len(ys) % 2 else -mf_detect(y))
-            nnz.append(oracles.column_overlap_counts(S))
-    problem = np.repeat(np.arange(len(ys)), 3)
-    n_prime = np.tile([0, 10, 3], len(ys))
+    S, xc = _stacked_h(seed, C, M, L, A, full=[2])
+    assert list(np.diff(xc.indptr[::M]) == M * M) == [L == C, L == C, True]
+    block = np.array([0, 0, 1, 1, 2])
+    So = SequenceMatrix(C, M, S.chips[block], S.signs[block])  # per problem
+    b = rng.integers(0, 2, (5, M), dtype=np.int8) * 2 - 1
+    rngs = [np.random.default_rng([seed, 9, p]) for p in range(5)]
+    ys = matched_filter(So, transmit(So, ChannelParams(A, 0.6), b, rngs))
+    b0 = mf_detect(ys) * np.array([1, -1, 1, -1, 1], dtype=np.int8)[:, None]
+    problem = np.repeat(np.arange(5), 3)
+    n_prime = np.tile([0, 10, 3], 5)
     max_passes = np.where(np.arange(problem.size) % 4 == 3, 1, 100)
-    return (np.stack(ys), xcs, A, np.stack(b0), n_prime, max_passes, problem,
-            nnz)
+    nnz = [oracles.column_overlap_counts(
+        SequenceMatrix(C, M, S.chips[k], S.signs[k])) for k in range(3)]
+    return ys, xc, A, b0, n_prime, max_passes, problem, block, nnz
 
 
 def _row(runs, r):
@@ -364,61 +377,84 @@ def _row(runs, r):
             int(runs.flips[r]), int(runs.additions[r]), int(runs.passes[r]))
 
 
+def _one_row(run):
+    return (run.bits.tolist(), run.converged, run.steps, run.flips,
+            run.additions, run.passes)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lockstep_rows_equal_the_naive_reference(seed):
-    ys, xcs, A, b0, n_prime, max_passes, problem, nnz = _lockstep_batch(seed)
-    runs = las_lockstep(ys, xcs, A, b0, n_prime, max_passes, problem=problem)
-    assert not runs.converged.all()  # the one-pass rows are cut off
-    assert (runs.flips[n_prime == 10] > 0).any()
-    for r, p in enumerate(problem):
-        ref = oracles.naive_sequential_las(
-            ys[p], xcs[p].dense_h(), A, b0[p], max_passes=int(max_passes[r]),
-            n_prime=int(n_prime[r]), col_nnz=nnz[p])
-        assert _row(runs, r) == (ref.bits.tolist(), ref.converged, ref.steps,
-                                 ref.flips, ref.additions, ref.passes), r
+    for L in (4, 125):  # sparse blocks and a full one; dense (C = 125)
+        (ys, xc, A, b0, n_prime, max_passes, problem, block,
+         nnz) = _lockstep_batch(seed, L=L)
+        runs = las_lockstep(ys, xc, A, b0, n_prime, max_passes,
+                            problem=problem, block=block)
+        assert not runs.converged.all()  # the one-pass rows are cut off
+        assert (runs.flips[n_prime == 10] > 0).any()
+        for r, p in enumerate(problem):
+            ref = oracles.naive_sequential_las(
+                ys[p], xc.block(block[p]).dense_h(), A, b0[p],
+                max_passes=int(max_passes[r]), n_prime=int(n_prime[r]),
+                col_nnz=nnz[block[p]])
+            assert _row(runs, r) == _one_row(ref), (L, r)
 
 
 def test_lockstep_row_result_independent_of_its_group():
-    ys, xcs, A, b0, n_prime, max_passes, problem, _ = _lockstep_batch(2)
-    full = las_lockstep(ys, xcs, A, b0, n_prime, max_passes, problem=problem)
+    (ys, xc, A, b0, n_prime, max_passes, problem, block,
+     _) = _lockstep_batch(2)
+    full = las_lockstep(ys, xc, A, b0, n_prime, max_passes, problem=problem,
+                        block=block)
     K = problem.size
     for rows in ([r] for r in range(K)):  # K = 1
-        alone = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
-                             problem=problem[rows])
+        alone = las_lockstep(ys, xc, A, b0, n_prime[rows], max_passes[rows],
+                             problem=problem[rows], block=block)
         assert _row(alone, 0) == _row(full, rows[0])
     for rows in (np.arange(K)[::-1], np.arange(0, K, 2), np.arange(5, K),
                  np.argsort(n_prime, kind="stable")):  # rows of each H apart
-        part = las_lockstep(ys, xcs, A, b0, n_prime[rows], max_passes[rows],
-                            problem=problem[rows])
+        part = las_lockstep(ys, xc, A, b0, n_prime[rows], max_passes[rows],
+                            problem=problem[rows], block=block)
         for i, r in enumerate(rows):
             assert _row(part, i) == _row(full, r)
-    one = slas_detect(ys[0], xcs[0], A, b0[0])
-    assert _row(full, 0) == (one.bits.tolist(), one.converged, one.steps,
-                             one.flips, one.additions, one.passes)
+    one = slas_detect(ys[0], xc.block(block[0]), A, b0[0])
+    assert _row(full, 0) == _one_row(one)
 
 
 def test_lockstep_on_one_stack_mixing_full_and_sparse_blocks():
-    # one stacked CrossCorr (L = 4, dense, L = 16 blocks) with problems
-    # mapped onto shared blocks; every row equals its one-row detector run
-    ys, xcs, A, b0, _, _, _, _ = _lockstep_batch(3, M=40)
-    blocks = [xcs[0], xcs[4], xcs[2]]
-    stack = CrossCorr.stack(blocks)
-    assert [xc.nnz == 40 * 40 for xc in blocks] == [False, True, False]
+    # one stack of explicit chips, the middle block full (all columns on
+    # chip 0), with problems mapped onto shared blocks out of order; every
+    # row equals its one-row detector run
+    M, C, L = 40, 50, 3
+    A = np.ones(M)
+    S, stack = _stacked_h(3, C, M, L, A, full=[1])
+    assert list(np.diff(stack.indptr[::M]) == M * M) == [False, True, False]
     block = np.array([0, 1, 2, 1, 0])
+    rng = np.random.default_rng(3)
+    So = SequenceMatrix(C, M, S.chips[block], S.signs[block])
+    b = rng.integers(0, 2, (5, M), dtype=np.int8) * 2 - 1
+    rngs = [np.random.default_rng([3, 9, p]) for p in range(5)]
+    ys = matched_filter(So, transmit(So, ChannelParams(A, 0.6), b, rngs))
+    b0 = mf_detect(ys)
     problem = np.repeat(np.arange(5), 2)
     n_prime = np.tile([0, 4], 5)
     runs = las_lockstep(ys, stack, A, b0, n_prime, problem=problem,
                         block=block)
+    assert runs.flips.min() > 0
     for r, p in enumerate(problem):
-        xc = blocks[block[p]]
+        xc = stack.block(block[p])
         ref = (slas_detect(ys[p], xc, A, b0[p]) if n_prime[r] == 0 else
                wslas_detect(ys[p], xc, A, b0[p], n_prime=int(n_prime[r])))
-        assert _row(runs, r) == (ref.bits.tolist(), ref.converged, ref.steps,
-                                 ref.flips, ref.additions, ref.passes), r
+        assert _row(runs, r) == _one_row(ref), r
+
+
+def _explicit_h(chips, n_chips):
+    """The one-block stacked H of explicit (1, M, L) chips, signs +1."""
+    chips = np.asarray(chips)
+    S = SequenceMatrix(n_chips, chips.shape[1], chips, np.ones_like(chips))
+    return crosscorrelation(S, np.ones(S.n_bits))
 
 
 def test_las_input_validation():
-    xc = xcorr_from_dense([[1.0]])
+    xc = _explicit_h([[[0]]], 1)  # H = [[1]]
     y = np.array([1.0])
     A = np.ones(1)
     with pytest.raises(ValueError):
@@ -431,25 +467,47 @@ def test_las_input_validation():
         Schedule("bogus")
     for problem in ([-1], [0.5], [1]):  # integers in [0, 1) only
         with pytest.raises(ValueError):
-            las_lockstep(y[None], [xc], A, np.ones((1, 1)), 0, problem=problem)
+            las_lockstep(y[None], xc, A, np.ones((1, 1)), 0, problem=problem)
+    for block in ([1], [-1], [0, 0]):  # one block in [0, 1) per problem
+        with pytest.raises(ValueError):
+            las_lockstep(y[None], xc, A, np.ones((1, 1)), 0, block=block)
+
+
+# columns 0 and 1 share chip 1 of four, with L = 2: H = [[1, .5], [.5, 1]]
+_HALF = [[[0, 1], [1, 2]]], 4
+_TOP = (2 ** 63 - 1) // 2  # the largest max_passes at M = 2
 
 
 def test_pass_budgets_must_fit_int64():
     # a row's sequential budget counts max_passes * M steps in int64
-    xc = xcorr_from_dense([[1.0, 0.5], [0.5, 1.0]])
+    xc = _explicit_h(*_HALF)
+    assert xc.dense_h().tolist() == [[1.0, 0.5], [0.5, 1.0]]
     y, A, b0 = np.array([1.0, -1.0]), np.ones(2), np.ones((1, 2))
-    top = (2 ** 63 - 1) // 2
-    runs = las_lockstep(y[None], [xc], A, b0, [0, 3], max_passes=top,
+    runs = las_lockstep(y[None], xc, A, b0, [0, 3], max_passes=_TOP,
                         problem=[0, 0])
     assert runs.converged.all()
-    assert slas_detect(y, xc, A, b0[0], max_passes=top).converged
-    for n_prime, max_passes in ((0, top + 1), (0, 10 ** 30), (2 ** 63, 5),
+    assert slas_detect(y, xc, A, b0[0], max_passes=_TOP).converged
+    for n_prime, max_passes in ((0, _TOP + 1), (0, 10 ** 30), (2 ** 63, 5),
                                 (10 ** 30, 5)):
         with pytest.raises(ValueError, match="must be in"):
-            las_lockstep(y[None], [xc], A, b0, n_prime, max_passes=max_passes)
-    for max_passes in (top + 1, 10 ** 30):
+            las_lockstep(y[None], xc, A, b0, n_prime, max_passes=max_passes)
+    for max_passes in (_TOP + 1, 10 ** 30):
         with pytest.raises(ValueError, match="must be in"):
             slas_detect(y, xc, A, b0[0], max_passes=max_passes)
+
+
+@pytest.mark.parametrize("n_prime, max_passes", [
+    (0, 0), (0, -1), (0, _TOP + 1), (0, 10 ** 30), (3, 2 ** 63),
+    (-1, 5), (2 ** 63, 5), (10 ** 30, 5),
+])
+def test_las_run_and_lockstep_reject_the_same_budgets(n_prime, max_passes):
+    xc = _explicit_h(*_HALF)
+    y, A, b0 = np.array([1.0, -1.0]), np.ones(2), np.ones(2, dtype=np.int8)
+    with pytest.raises(ValueError, match="must be in") as lockstep:
+        las_lockstep(y[None], xc, A, b0[None], n_prime, max_passes)
+    with pytest.raises(ValueError, match="must be in") as run:
+        wslas_detect(y, xc, A, b0, n_prime=n_prime, max_passes=max_passes)
+    assert str(run.value) == str(lockstep.value)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def test_infeasible_configs():
     with pytest.raises(InfeasibleError):
         ExperimentConfig(M=24, alpha=0.8, L=4,
                          detectors=("SLAS", "GML")).validate()
+    # chip indices are int32: C = round(M/alpha) must stay below 2**31
+    for alpha in (2.0 ** -31, 1e-300, 1e-320):
+        with pytest.raises(InfeasibleError, match="reaches 2"):
+            ExperimentConfig(M=1, alpha=alpha, L=1).validate()
+    top = ExperimentConfig(M=1, alpha=1 / (2 ** 31 - 1), L=1)
+    top.validate()  # not run: its chip sampler would take 16 GiB a row
+    assert top.C == 2 ** 31 - 1
 
 
 def test_effective_load_reporting():
