@@ -173,7 +173,7 @@ class _Lockstep:
         self.y, self.A, self.xc = y, A, xcorr
         g0 = A * y - xcorr.h_matvec(b0, hblock)
         self.blk = blk = problem if hblock is None else hblock[problem]
-        self.full = (np.diff(xcorr.indptr[::M]) == M * M)[blk]
+        self.full = xcorr.full_blocks[blk]
         # windows[i] is h_data[i:i + M]: a full row from its first entry
         self.windows = np.lib.stride_tricks.sliding_window_view(
             xcorr.h_data, M)
@@ -219,9 +219,11 @@ class _Lockstep:
         at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return self.xc.indices[at], self.xc.h_data[at], n
 
-    def _mark_violators(self, rows):
-        self.V[rows] = self.B[rows] * self.G[rows] < self.NT[rows]
-        self.cnt[rows] = self.V3[rows].sum(axis=2)
+    def _mark_violators(self, rows, G=None):
+        """Violators and block counts of rows (G: their gradients, if held)."""
+        v = self.B[rows] * (self.G[rows] if G is None else G) < self.NT[rows]
+        self.V[rows] = v
+        self.cnt[rows] = v.reshape(-1, self.nb, _BLOCK).sum(axis=2)
 
     def _next_violator(self, rows, pos):
         """Each row's first violating bit at or cyclically after its cursor,
@@ -248,12 +250,15 @@ class _Lockstep:
         self.flips[rows] += 1
         full = self.full[rows]
         if full.any():
-            # full H rows are contiguous: update and rescan whole rows
+            # full H rows are contiguous: update whole rows, and take
+            # their violators and counts from the new gradients
             fr, fk, fc = rows[full], ks[full], c[full]
-            self.G[fr, :self.M] += fc[:, None] * self.windows[
+            g = self.G[fr]
+            g[:, :self.M] += fc[:, None] * self.windows[
                 self.xc.indptr[self.blk[fr] * self.M + fk]]
+            self.G[fr] = g
             self.additions[fr] += self.M
-            self._mark_violators(fr)
+            self._mark_violators(fr, g)
         if not full.all():
             sr, sk, sc = rows[~full], ks[~full], c[~full]
             cols, vals, lens = self._columns(sr, sk)
@@ -339,11 +344,11 @@ def _ascend(st, rows):
     """Each row's n_prime all-bit steps (thresholds sum_j |H_kj|; a row
     stops early at a step that flips nothing), then the sequential phase on
     the rest of its pass budget.  Returns the converged flags."""
-    row_sums = st.xc.abs_row_sums.reshape(-1, st.M)
     left = np.minimum(st.n_prime[rows], st.max_passes[rows])
     todo = rows[left > 0]
     left = left[left > 0]
-    while todo.size:
+    while todo.size:  # |H| row sums are built for the first all-bit step
+        row_sums = st.xc.abs_row_sums.reshape(-1, st.M)
         moved = st.set_step(todo, row_sums[st.blk[todo]])
         left -= 1
         keep = moved & (left > 0)

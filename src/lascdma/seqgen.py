@@ -154,6 +154,11 @@ class CrossCorr:
     def n_blocks(self):
         return (self.indptr.size - 1) // self.n_bits
 
+    @property
+    def full_blocks(self):
+        """Per block: every row holds all M entries, columns 0..M-1."""
+        return np.diff(self.indptr[::self.n_bits]) == self.n_bits ** 2
+
     def row(self, k):
         """Nonzero (indices, values) of row k of H (== column k by symmetry)."""
         lo, hi = self.indptr[k], self.indptr[k + 1]
@@ -170,22 +175,42 @@ class CrossCorr:
     def h_matvec(self, x, block=None):
         """H @ x through the raw row lists.  On a stack, x holds one vector
         per problem, (P, M), and problem p is multiplied by block block[p]
-        (default: block p, in one pass).  Every row sums its entries as its
-        block alone does, so the stacking moves no bit."""
+        (default: block p, in one pass).  Each row's products x_j H_kj are
+        summed by np.add.reduceat over its row segment.  A full block takes
+        them as one broadcast of x against its (M, M) values; a sparse block
+        gathers x at its column indices, converted to intp once for all its
+        problems.  The products (IEEE multiplication commutes) and segments
+        are the per-entry gather's, and every row sums as its block alone
+        does, so neither the full-block form nor the stacking moves a bit."""
         M = self.n_bits
         X = np.asarray(x, dtype=np.float64).reshape(-1, M)
         if len(X) != (self.n_blocks if block is None else len(block)):
             raise ValueError("need one vector per block or problem")
-        if block is not None:
-            return np.stack([xc.h_matvec(xp) for xc, xp in
-                             zip(map(self.block, block), X)])
-        at = self.indices
-        if len(X) > 1:  # block b's columns are at b*M of X.ravel()
-            at = np.repeat(np.arange(0, X.size, M), np.diff(self.indptr[::M]))
-            at += self.indices
-        v = X.ravel()[at]
-        v *= self.h_data
-        return np.add.reduceat(v, self.indptr[:-1]).reshape(np.shape(x))
+        sizes, full = np.diff(self.indptr[::M]), self.full_blocks
+        if block is None:
+            if full.all():
+                v = X[:, None, :] * self.h_data.reshape(-1, M, M)
+            else:
+                at = self.indices
+                if len(X) > 1:  # block b's columns are at b*M of X.ravel()
+                    at = np.repeat(np.arange(0, X.size, M), sizes)
+                    at += self.indices
+                v = X.ravel()[at]
+                v *= self.h_data
+            return np.add.reduceat(v.reshape(-1), self.indptr[:-1]).reshape(
+                np.shape(x))
+        out, block = np.empty_like(X), np.asarray(block)
+        blocks = np.flatnonzero(np.bincount(block))  # the blocks in use
+        buf = np.empty(sizes[blocks].max())  # one buffer for them all, and
+        for b in blocks:  # one index array for all the problems of a block
+            xc = self.block(b)
+            h = xc.h_data.reshape(M, M) if full[b] else xc.h_data
+            at = slice(None) if full[b] else xc.indices.astype(np.intp)
+            v = buf[:h.size].reshape(h.shape)
+            for p in np.flatnonzero(block == b):
+                np.multiply(X[p][at], h, out=v)
+                out[p] = np.add.reduceat(v.reshape(-1), xc.indptr[:-1])
+        return out.reshape(np.shape(x))
 
     def dense_h(self):
         """H as a dense (rows, M) array: (M, M), or the B blocks stacked."""

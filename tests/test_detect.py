@@ -446,6 +446,53 @@ def test_lockstep_on_one_stack_mixing_full_and_sparse_blocks():
         assert _row(runs, r) == _one_row(ref), r
 
 
+def test_slas_rows_build_no_abs_row_sums():
+    # |H| row sums are the all-bit thresholds: SLAS-only calls never build
+    # them, and building them first changes no row
+    (ys, xc, A, b0, _, max_passes, problem, block,
+     _) = _lockstep_batch(1)
+    runs = las_lockstep(ys, xc, A, b0, 0, max_passes, problem=problem,
+                        block=block)
+    assert "abs_row_sums" not in xc.__dict__
+    xc.abs_row_sums
+    again = las_lockstep(ys, xc, A, b0, 0, max_passes, problem=problem,
+                         block=block)
+    for r in range(problem.size):
+        assert _row(runs, r) == _row(again, r)
+    _, fresh = _stacked_h(1, 125, 100, 4, A, full=[2])
+    las_lockstep(ys, fresh, A, b0, 1, problem=problem, block=block)
+    assert "abs_row_sums" in fresh.__dict__
+
+
+def _per_entry_matvec(xc, X, block):
+    """H @ x of each problem by the per-entry gather of its block."""
+    return np.stack([np.add.reduceat(x[h.indices] * h.h_data, h.indptr[:-1])
+                     for x, h in zip(X, map(xc.block, block))])
+
+
+@pytest.mark.parametrize("unequal", [False, True])
+def test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal):
+    # full blocks multiply by one broadcast product, sparse ones by a gather;
+    # on float vectors any other summation order would show in the last bits
+    M, C, L = 40, 50, 3
+    rng = np.random.default_rng(4)
+    A = rng.uniform(0.5, 2.0, M) if unequal else np.ones(M)
+    _, mixed = _stacked_h(4, C, M, L, A, full=[0, 2])
+    _, dense = _stacked_h(5, C, M, C, A)
+    assert list(np.diff(mixed.indptr[::M]) == M * M) == [True, False, True]
+    assert dense.nnz == 3 * M * M
+    X = rng.standard_normal((7, M))
+    block = np.array([2, 0, 1, 0, 2, 1, 2])  # repeated and out of order
+    for xc in (mixed, dense):
+        assert np.array_equal(xc.h_matvec(X[:3]),  # one pass
+                              _per_entry_matvec(xc, X[:3], range(3)))
+        assert np.array_equal(xc.h_matvec(X, block),
+                              _per_entry_matvec(xc, X, block))
+        for b in range(3):  # one block alone, one vector
+            assert np.array_equal(xc.block(b).h_matvec(X[b]),
+                                  _per_entry_matvec(xc, X[b:b + 1], [b])[0])
+
+
 def _explicit_h(chips, n_chips):
     """The one-block stacked H of explicit (1, M, L) chips, signs +1."""
     chips = np.asarray(chips)
