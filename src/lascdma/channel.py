@@ -83,18 +83,17 @@ def matched_filter(S, r):
     return (S.signs * rc).sum(axis=-1) * S.chip_amplitude
 
 
-def snr_to_sigma(snr_db, amplitude=1.0):
-    """Noise std for a given per-bit SNR in dB, under SNR = A^2 / sigma^2.
+def snr_to_sigma(snr_db):
+    """Noise std for a given per-bit SNR in dB, under SNR = A^2 / sigma^2
+    with unit amplitude A = 1.
 
     With unit-norm sequences this makes the single-user error rate
     Q(sqrt(SNR)).  snr_db = inf, or any SNR whose power ratio exceeds the
     float range, gives sigma = 0; an SNR whose noise level is not finite
     (-inf, NaN or far below 0 dB) raises ValueError.
     """
-    if not amplitude > 0:
-        raise ValueError("amplitude must be positive")
     try:
-        sigma = amplitude / 10.0 ** (snr_db / 20.0)
+        sigma = 1.0 / 10.0 ** (snr_db / 20.0)
     except OverflowError:
         return 0.0
     except ZeroDivisionError:

@@ -16,30 +16,18 @@ from . import detect, seqgen
 from .channel import ChannelParams, matched_filter, snr_to_sigma, transmit
 from .harness import ConfigError, ExperimentConfig, sweep, write_csv
 
-_CONFIG_KEYS = (
-    "experiment", "M", "alpha", "L", "snr_db", "detectors", "seed",
-    "min_bit_errors", "max_bits", "seq_sets", "n_prime", "max_passes",
-    "bk_list", "l_list",
-)
-
+# each preset is the paper's operating point with what its figure sweeps; the
+# experiment is named after the preset
+_PAPER_POINT = {"M": "1024", "alpha": "0.8", "snr_db": "11",
+                "detectors": "MF,SLAS"}
 _PRESETS = {
     # BER and additions/bit versus total bit count, one curve per L
-    "fig1": {
-        "experiment": "fig1", "alpha": "0.8", "snr_db": "11", "M": "1024",
-        "detectors": "MF,SLAS",
-        "bk_list": "64,128,256,512,1024", "l_list": "4,8,16,dense",
-    },
+    "fig1": {**_PAPER_POINT, "bk_list": "64,128,256,512,1024",
+             "l_list": "4,8,16,dense"},
     # BER and additions/bit versus nonzero-chip count at M = 1024
-    "fig2": {
-        "experiment": "fig2", "alpha": "0.8", "snr_db": "11", "M": "1024",
-        "detectors": "MF,SLAS", "l_list": "4,8,16,dense",
-    },
+    "fig2": {**_PAPER_POINT, "l_list": "4,8,16,dense"},
     # BER versus SNR at M = 1024, sparse (L=16) and dense reference
-    "fig3": {
-        "experiment": "fig3", "alpha": "0.8", "M": "1024",
-        "snr_db": "2,4,6,8,10,11,12", "detectors": "MF,SLAS",
-        "l_list": "16,dense",
-    },
+    "fig3": {**_PAPER_POINT, "snr_db": "2,4,6,8,10,11,12", "l_list": "16,dense"},
 }
 
 
@@ -73,84 +61,78 @@ def _parse_int(key, s):
         raise ConfigError(f"{key}: expected an integer, got {s!r}")
 
 
-def _parse_l_value(s):
-    s = s.strip()
-    if s == "dense":
-        return "dense"
-    return _parse_int("L", s)
-
-
-def _parse_snr(s):
+def _parse_float(key, s):
     try:
-        return tuple(float(tok) for tok in s.split(","))
+        return float(s)
     except ValueError:
-        raise ConfigError(f"snr_db: expected numbers, got {s!r}")
+        raise ConfigError(f"{key}: expected a number, got {s!r}")
+
+
+def _parse_l_value(key, s):  # an l_list item is reported as L
+    s = s.strip()
+    return s if s == "dense" else _parse_int("L", s)
+
+
+def _parse_seq_sets(key, s):
+    s = s.strip()
+    return s if s in ("auto", "per_tx") else _parse_int(key, s)
+
+
+def _comma_list(parse):
+    """A parser of comma-separated items; an item parsed as "" is left out."""
+    return lambda key, s: tuple(
+        v for v in (parse(key, tok) for tok in s.split(",")) if v != "")
+
+
+def _parse_snr(key, s):
+    try:
+        return _comma_list(_parse_float)(key, s)
+    except ConfigError:  # reported as the whole list
+        raise ConfigError(f"{key}: expected numbers, got {s!r}") from None
+
+
+# every config key and its parser, in --dump-config order
+_CONFIG_KEYS = {
+    "experiment": lambda key, s: s.strip(),
+    "M": _parse_int,
+    "alpha": _parse_float,
+    "L": _parse_l_value,
+    "snr_db": _parse_snr,
+    "detectors": _comma_list(lambda key, s: s.strip().upper()),
+    "seed": _parse_int,
+    "min_bit_errors": _parse_int,
+    "max_bits": _parse_int,
+    "seq_sets": _parse_seq_sets,
+    "n_prime": _parse_int,
+    "max_passes": _parse_int,
+    "bk_list": _comma_list(_parse_int),
+    "l_list": _comma_list(_parse_l_value),
+}
 
 
 def _config_from_mapping(mapping):
-    """Build (ExperimentConfig, bk_list, l_list) from raw strings; a list
-    that is not given is None."""
+    """(ExperimentConfig, bk_list, l_list); a list not given is None."""
     unknown = sorted(set(mapping) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    m = dict(mapping)
-    kwargs = {}
-    if "experiment" in m:
-        kwargs["experiment"] = m["experiment"].strip()
-    if "M" not in m:
-        raise ConfigError("config requires M")
-    kwargs["M"] = _parse_int("M", m["M"])
-    if "alpha" not in m:
-        raise ConfigError("config requires alpha")
-    try:
-        kwargs["alpha"] = float(m["alpha"])
-    except ValueError:
-        raise ConfigError(f"alpha: expected a number, got {m['alpha']!r}")
-    if "L" in m:
-        kwargs["L"] = _parse_l_value(m["L"])
-    if "snr_db" in m:
-        snrs = _parse_snr(m["snr_db"])
-        kwargs["snr_db"] = snrs[0] if len(snrs) == 1 else snrs
-    if "detectors" in m:
-        kwargs["detectors"] = tuple(
-            tok.strip().upper() for tok in m["detectors"].split(",") if tok.strip()
-        )
-    for key in ("seed", "min_bit_errors", "max_bits", "n_prime", "max_passes"):
-        if key in m:
-            kwargs[key] = _parse_int(key, m[key])
-    if "seq_sets" in m:
-        v = m["seq_sets"].strip()
-        kwargs["seq_sets"] = v if v in ("auto", "per_tx") else _parse_int("seq_sets", v)
-
-    bk_list = None
-    if "bk_list" in m:
-        bk_list = tuple(_parse_int("bk_list", tok) for tok in m["bk_list"].split(","))
-    l_list = None
-    if "l_list" in m:
-        l_list = tuple(_parse_l_value(tok) for tok in m["l_list"].split(","))
-    return ExperimentConfig(**kwargs), bk_list, l_list
+    values = {}
+    for key, parse in _CONFIG_KEYS.items():
+        if key in mapping:
+            values[key] = parse(key, mapping[key])
+        elif key in ("M", "alpha"):
+            raise ConfigError(f"config requires {key}")
+    grid = values.pop("bk_list", None), values.pop("l_list", None)
+    return (ExperimentConfig(**values), *grid)
 
 
 def _effective_mapping(config, bk_list, l_list):
-    m = {
-        "experiment": config.experiment,
-        "M": str(config.M),
-        "alpha": repr(float(config.alpha)),
-        "L": str(config.L),
-        "snr_db": ",".join(repr(s) for s in config.snr_points()),
-        "detectors": ",".join(config.normalized_detectors()),
-        "seed": str(config.seed),
-        "min_bit_errors": str(config.min_bit_errors),
-        "max_bits": str(config.max_bits),
-        "seq_sets": str(config.seq_sets),
-        "n_prime": str(config.n_prime),
-        "max_passes": str(config.max_passes),
-    }
-    if bk_list is not None:
-        m["bk_list"] = ",".join(str(v) for v in bk_list)
-    if l_list is not None:
-        m["l_list"] = ",".join(str(v) for v in l_list)
-    return m
+    # one printer for every key: str (a float's str is its repr), and a
+    # list's items joined by commas
+    values = dict(vars(config), snr_db=config.snr_points(),
+                  detectors=config.normalized_detectors(),
+                  bk_list=bk_list, l_list=l_list)
+    return {key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for key in _CONFIG_KEYS if (v := values[key]) is not None}
 
 
 def _dump_config(mapping, path):
@@ -343,7 +325,7 @@ def _build_parser():
     p_run = sub.add_parser("run", parents=[common],
                            help="run an explicit config file")
     p_run.add_argument("--config", required=True, help="config file path")
-    for name in ("fig1", "fig2", "fig3"):
+    for name in _PRESETS:
         sub.add_parser(name, parents=[common], help=f"run the {name} preset")
     p_self = sub.add_parser("selftest", help="run the invariant suites")
     p_self.add_argument("--seed", type=int, default=0)
@@ -362,7 +344,7 @@ def main(argv=None):
         if args.command == "run":
             mapping = _parse_config_file(args.config)
         else:
-            mapping = dict(_PRESETS[args.command])
+            mapping = {"experiment": args.command, **_PRESETS[args.command]}
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

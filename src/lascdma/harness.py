@@ -574,6 +574,8 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     over the config's SNR list, L outermost.  Every point is validated
     before any runs: an infeasible one becomes a failure ("L=...,M=...",
     InfeasibleError) and the rest still run; any other ConfigError raises.
+    A point whose run cannot allocate its arrays (MemoryError) is a failure
+    too, and writes no rows.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -589,7 +591,12 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
                 points.append(point)
     rows = []
     for point in points:
-        rows.extend(run_experiment(point, workers))
+        try:
+            rows.extend(run_experiment(point, workers))
+        except MemoryError as e:
+            refused = str(e) or "out of memory"
+            failures.append((f"L={point.L},M={point.M}", InfeasibleError(
+                f"C = round(M/alpha) = {point.C}: {refused}")))
     return rows, failures
 
 

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lascdma import cli
+from lascdma import cli, harness
 from lascdma.cli import main
-from lascdma.harness import CSV_HEADER, ConfigError, run_experiment, write_csv
+from lascdma.harness import (
+    CSV_HEADER, ConfigError, ExperimentConfig, run_experiment, write_csv)
 
 
 def read(path):
@@ -112,16 +115,51 @@ def test_preset_deterministic_across_runs_and_workers(tmp_path):
     assert read(a) != read(d)
 
 
-def test_config_round_trip(tmp_path):
+# per preset: small overrides and the exact --dump-config text they give
+_DUMPS = {
+    "fig1": (["bk_list=16,32", "l_list=2,dense", "max_bits=640"],
+             "experiment = fig1\nM = 1024\nalpha = 0.8\nL = dense\n"
+             "snr_db = 11.0\ndetectors = MF,SLAS\nseed = 5\n"
+             "min_bit_errors = 0\nmax_bits = 640\nseq_sets = auto\n"
+             "n_prime = 10\nmax_passes = 100\nbk_list = 16,32\n"
+             "l_list = 2,dense\n"),
+    "fig2": (["M=32", "max_bits=1600", "l_list=2,4"],
+             "experiment = fig2\nM = 32\nalpha = 0.8\nL = dense\n"
+             "snr_db = 11.0\ndetectors = MF,SLAS\nseed = 5\n"
+             "min_bit_errors = 0\nmax_bits = 1600\nseq_sets = auto\n"
+             "n_prime = 10\nmax_passes = 100\nl_list = 2,4\n"),
+    "fig3": (["M=32", "max_bits=640", "snr_db=4,8", "l_list=4,dense"],
+             "experiment = fig3\nM = 32\nalpha = 0.8\nL = dense\n"
+             "snr_db = 4.0,8.0\ndetectors = MF,SLAS\nseed = 5\n"
+             "min_bit_errors = 0\nmax_bits = 640\nseq_sets = auto\n"
+             "n_prime = 10\nmax_passes = 100\nl_list = 4,dense\n"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_DUMPS))
+def test_config_round_trip(tmp_path, preset):
+    """Every key is dumped in one fixed order and format, and the dump
+    replays to the same CSV bytes."""
+    overrides, expected = _DUMPS[preset]
     out1 = tmp_path / "direct.csv"
     dumped = tmp_path / "effective.cfg"
-    assert main(["fig2", "--seed", "5", "--out", str(out1),
-                 "--dump-config", str(dumped),
-                 "--set", "M=32", "--set", "min_bit_errors=0",
-                 "--set", "max_bits=1600", "--set", "l_list=2,4"]) == 0
+    assert main([preset, "--seed", "5", "--out", str(out1),
+                 "--dump-config", str(dumped), "--set", "min_bit_errors=0",
+                 *(arg for kv in overrides for arg in ("--set", kv))]) == 0
+    assert dumped.read_text(encoding="utf-8") == expected
     out2 = tmp_path / "replayed.csv"
     assert main(["run", "--config", str(dumped), "--out", str(out2)]) == 0
     assert read(out1) == read(out2)
+
+
+def test_config_keys_are_one_schema():
+    """The key table holds ExperimentConfig's fields and the two grid lists,
+    and the README's config-file example lists them in the table's order."""
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(cli._CONFIG_KEYS) == sorted([*fields, "bk_list", "l_list"])
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    example = readme.split("Config files are flat")[1].split("```")[1]
+    assert re.findall(r"^#? ?(\w+) =", example, re.M) == list(cli._CONFIG_KEYS)
 
 
 def test_run_requires_config_keys(tmp_path, capsys):
@@ -220,6 +258,29 @@ def test_sweep_with_infeasible_point_continues(tmp_path, capsys):
     assert ",64," in text  # the feasible point was still written
     err = capsys.readouterr().err
     assert "M=8" in err
+
+
+def test_point_out_of_memory_is_infeasible(tmp_path, capsys, monkeypatch):
+    """A point whose arrays cannot be allocated is reported like an
+    infeasible one, and the other points are still written."""
+    refused = ("Unable to allocate 16.0 GiB for an array with shape "
+               "(1, 2147483647) and data type float64")
+    gen = harness.gen_sparse_matrix
+
+    def gen_or_refuse(C, M, L, rng, **kwargs):
+        if M == 32:
+            raise MemoryError(refused)
+        return gen(C, M, L, rng, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_sparse_matrix", gen_or_refuse)
+    out = tmp_path / "x.csv"
+    assert main(["fig1", "--set", "bk_list=16,32", "--set", "l_list=4",
+                 "--set", "max_bits=64", "--set", "min_bit_errors=0",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"infeasible point L=4,M=32: C = round(M/alpha) = 40: {refused}" in err
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "16" for row in rows)
 
 
 def test_run_with_gml_prints_audit(tmp_path, capsys):

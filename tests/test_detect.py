@@ -175,7 +175,7 @@ def test_equal_power_scale_invariance(c):
                 A = np.full(64, a)
                 xc = crosscorrelation(S, A)
                 b = (rng.integers(0, 2, 64, dtype=np.int8) * 2 - 1).astype(np.int8)
-                params = ChannelParams(A, snr_to_sigma(4.0, a))
+                params = ChannelParams(A, a * snr_to_sigma(4.0))
                 y = matched_filter(S, transmit(S, params, b, rng))
                 b0 = mf_detect(y)
                 out.append((b0, slas_detect(y, xc, A, b0),
