@@ -32,8 +32,11 @@ One implementation runs them all: a row-batched kernel that advances K
 runs in lockstep, each row on its own (y, H, start vector), every H a block
 of one stacked crosscorrelation.  las_lockstep runs SLAS/WSLAS
 rows (hybrid with n_prime all-bit steps, 0 for SLAS); las_run is the
-one-row case for every schedule, with the debug switches.  A row's result
-does not depend on the other rows of its batch.
+one-row case for every schedule, with the debug switches.  Rows that
+start the sequential phase from the same state (one problem's start, no
+all-bit step having flipped) share one sequential run, and each still
+reports its own counters.  A row's result does not depend on the other
+rows of its batch.
 
 Bit vectors are int8 arrays over {-1,+1}.  Detector runs are single-threaded
 over immutable (y, H, A); many runs may share one crosscorrelation.
@@ -343,7 +346,16 @@ class _Lockstep:
 def _ascend(st, rows):
     """Each row's n_prime all-bit steps (thresholds sum_j |H_kj|; a row
     stops early at a step that flips nothing), then the sequential phase on
-    the rest of its pass budget.  Returns the converged flags."""
+    the rest of its pass budget.  Returns the converged flags.
+
+    A row whose all-bit steps flipped nothing still holds its problem's
+    start state.  Such rows of one problem share one sequential run, led by
+    the one with the most passes left.  A follower whose budget holds the
+    leader's sequential steps would have walked the same steps, so it
+    copies the leader's bits, flips, additions and converged flag and adds
+    those steps, and their passes, to its own; one whose budget does not
+    hold them runs alone, from its untouched start.  Followers' gradients
+    stay at the start."""
     left = np.minimum(st.n_prime[rows], st.max_passes[rows])
     todo = rows[left > 0]
     left = left[left > 0]
@@ -353,7 +365,29 @@ def _ascend(st, rows):
         left -= 1
         keep = moved & (left > 0)
         todo, left = todo[keep], left[keep]
-    return st.sequential(rows, st.max_passes[rows] - st.passes[rows])
+    cycles = st.max_passes[rows] - st.passes[rows]
+    # rows still at their start, by problem, the most passes left first
+    fresh = np.flatnonzero(st.flips[rows] == 0)
+    fresh = fresh[np.lexsort((-cycles[fresh], st.problem[rows[fresh]]))]
+    first = np.diff(st.problem[rows[fresh]], prepend=-1) != 0
+    follow = fresh[~first]  # positions in rows; lead[i] leads follow[i]
+    lead = fresh[first][np.cumsum(first)[~first] - 1]
+    run = np.ones(rows.size, dtype=bool)
+    run[follow] = False
+    base = st.steps[rows[lead]]
+    converged = np.zeros(rows.size, dtype=bool)
+    converged[run] = st.sequential(rows[run], cycles[run])
+    used = st.steps[rows[lead]] - base
+    fits = used <= cycles[follow] * st.M
+    dst, src, used = rows[follow[fits]], rows[lead[fits]], used[fits]
+    st.B[dst], st.flips[dst] = st.B[src], st.flips[src]
+    st.additions[dst] = st.additions[src]
+    st.steps[dst] += used
+    st.passes[dst] += -(-used // st.M)  # ceil
+    converged[follow[fits]] = converged[lead[fits]]
+    alone = follow[~fits]
+    converged[alone] = st.sequential(rows[alone], cycles[alone])
+    return converged
 
 
 def _indices(v, n, name):
@@ -374,8 +408,11 @@ def las_lockstep(y, xcorr, amplitudes, b0, n_prime, max_passes=100,
     integer in [0, P) (default: row p on problem p): n_prime[r] all-bit
     steps (0 is SLAS), then the cyclic sequential phase, within
     max_passes[r] passes.  n_prime and max_passes broadcast over the rows.
-    Each row's result is exactly that of its own one-row run (las_run),
-    whatever the other rows are and their order.
+    Rows of one problem whose all-bit steps flip nothing (SLAS rows, and
+    the WSLAS rows of most harness calls) walk one shared sequential
+    phase.  Each row's result, its steps, passes and additions included,
+    is exactly that of its own one-row run (las_run), whatever the other
+    rows are and their order.
     """
     st = _Lockstep(y, xcorr, amplitudes, b0, problem, block, n_prime,
                    max_passes)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lascdma import detect, seqgen
 from lascdma.channel import ChannelParams, matched_filter, snr_to_sigma, transmit
 from lascdma.detect import (
     Schedule,
@@ -464,6 +466,165 @@ def test_slas_rows_build_no_abs_row_sums():
     assert "abs_row_sums" in fresh.__dict__
 
 
+def _fixed_set_problems(seed, T=6, M=64, L=4, sigma=0.3):
+    """T transmissions on the three blocks of one stack (the last full),
+    transmission t on block t % 3, as the harness maps fixed sets; MF
+    starts.  Returns (ys, xc, A, b0, block)."""
+    C = int(round(M / 0.8))
+    A = np.ones(M)
+    S, xc = _stacked_h(seed, C, M, L, A, full=[2])
+    block = np.arange(T) % 3
+    So = SequenceMatrix(C, M, S.chips[block], S.signs[block])
+    rng = np.random.default_rng([seed, 8])
+    b = rng.integers(0, 2, (T, M), dtype=np.int8) * 2 - 1
+    rngs = [np.random.default_rng([seed, 9, p]) for p in range(T)]
+    ys = matched_filter(So, transmit(So, ChannelParams(A, sigma), b, rngs))
+    b0 = mf_detect(ys)
+    return ys, xc, A, b0, block
+
+
+def _first_step_flips(ys, xc, A, b0, block):
+    """Per problem: whether an all-bit step from its start flips a bit."""
+    return np.array([
+        np.any(b0[p] * initial_gradient(b0[p], ys[p], h, A)
+               < -h.abs_row_sums)
+        for p, h in enumerate(map(xc.block, block))])
+
+
+def _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem,
+                                    n_prime, max_passes):
+    n_prime = np.broadcast_to(n_prime, problem.shape)
+    max_passes = np.broadcast_to(max_passes, problem.shape)
+    for r, p in enumerate(problem):
+        one = las_run(ys[p], xc.block(block[p]), A,
+                      Schedule.hybrid(int(n_prime[r])), b0[p],
+                      max_passes=int(max_passes[r]))
+        assert _row(runs, r) == _one_row(one), r
+
+
+@pytest.fixture
+def sequential_calls(monkeypatch):
+    """The rows of every _Lockstep.sequential call, in call order."""
+    calls = []
+    sequential = detect._Lockstep.sequential
+
+    def spy(self, rows, cycles):
+        calls.append(rows.tolist())
+        return sequential(self, rows, cycles)
+
+    monkeypatch.setattr(detect._Lockstep, "sequential", spy)
+    return calls
+
+
+@pytest.mark.parametrize("max_passes", [1, 2])
+def test_wslas_follower_whose_budget_binds_runs_alone(sequential_calls,
+                                                      max_passes):
+    # the one-step WSLAS rows flip nothing in their all-bit step and follow
+    # their SLAS row, whose run does not fit in the zero or one cycle they
+    # have left: each of them runs alone from its start
+    ys, xc, A, b0, block = _fixed_set_problems(0)
+    T = len(ys)
+    assert not _first_step_flips(ys, xc, A, b0, block).any()
+    problem, n_prime = np.repeat(np.arange(T), 2), np.tile([0, 1], T)
+    runs = las_lockstep(ys, xc, A, b0, n_prime, max_passes, problem=problem,
+                        block=block)
+    wslas = np.arange(1, 2 * T, 2)
+    assert sequential_calls == [list(range(0, 2 * T, 2)), wslas.tolist()]
+    _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem,
+                                    n_prime, max_passes)
+    assert runs.flips[0::2].min() > 0  # each SLAS run needs over one cycle
+    # alone, with one cycle left, a WSLAS row makes SLAS's first flips
+    assert (runs.flips[wslas] > 0).all() == (max_passes == 2)
+
+
+def test_wslas_rows_that_flip_in_all_bit_steps_lead_their_own_runs(
+        sequential_calls):
+    ys, xc, A, b0, block = _fixed_set_problems(1, sigma=0.05)
+    T = len(ys)
+    b0[::2] = -b0[::2]  # inverted starts give the all-bit steps work
+    moved = _first_step_flips(ys, xc, A, b0, block)
+    assert moved.any() and not moved.all()
+    problem, n_prime = np.repeat(np.arange(T), 2), np.tile([0, 10], T)
+    runs = las_lockstep(ys, xc, A, b0, n_prime, problem=problem, block=block)
+    lead = [2 * t + i for t in range(T) for i in (0, 1) if i == 0 or moved[t]]
+    assert sequential_calls == [lead, []]
+    _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem,
+                                    n_prime, 100)
+
+
+def test_identical_slas_rows_share_one_run(sequential_calls):
+    ys, xc, A, b0, block = _fixed_set_problems(2)
+    problem = np.array([3, 3, 1, 3])
+    runs = las_lockstep(ys, xc, A, b0, 0, problem=problem, block=block)
+    assert sequential_calls == [[0, 2], []]
+    _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem, 0,
+                                    100)
+    assert runs.flips[0] > 0 and runs.converged.all()
+
+
+def test_shared_runs_are_exact_in_any_row_order(sequential_calls):
+    ys, xc, A, b0, block = _fixed_set_problems(3, T=4, sigma=0.05)
+    b0[2:] = -b0[2:]
+    problem = np.repeat(np.arange(4), 6)
+    n_prime = np.tile([0, 10, 0, 10, 1, 4], 4)
+    max_passes = np.tile([100, 100, 2, 1, 3, 100], 4)
+    rng = np.random.default_rng(3)
+    ran = []
+    for order in (np.arange(24), rng.permutation(24), np.arange(24)[::-1]):
+        runs = las_lockstep(ys, xc, A, b0, n_prime[order], max_passes[order],
+                            problem=problem[order], block=block)
+        ran.append(sum(map(len, sequential_calls)))
+        _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block,
+                                        problem[order], n_prime[order],
+                                        max_passes[order])
+        sequential_calls.clear()
+    assert ran[0] == ran[1] == ran[2] < 24  # some rows follow, in any order
+
+
+def test_slas_and_wslas_rows_walk_one_sequential_phase(monkeypatch):
+    # harness-shaped SLAS + WSLAS rows whose all-bit steps flip nothing:
+    # each problem's sequential flips are made once, for the SLAS row, and
+    # the WSLAS row reports the same flips one all-bit pass later
+    ys, xc, A, b0, block = _fixed_set_problems(4, T=9)
+    T = len(ys)
+    assert not _first_step_flips(ys, xc, A, b0, block).any()
+    events = []
+    flip_each = detect._Lockstep._flip_each
+
+    def count(self, rows, ks):
+        events.append(rows.size)
+        return flip_each(self, rows, ks)
+
+    monkeypatch.setattr(detect._Lockstep, "_flip_each", count)
+    runs = las_lockstep(ys, xc, A, b0, np.tile([0, 10], T),
+                        problem=np.repeat(np.arange(T), 2), block=block)
+    slas, wslas = slice(0, None, 2), slice(1, None, 2)
+    assert runs.flips[slas].tolist() == runs.flips[wslas].tolist()
+    assert (runs.passes[wslas] == runs.passes[slas] + 1).all()
+    assert sum(events) == runs.flips[slas].sum() > 0
+
+
+_ROWS = st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0, 1, 4, 10]),
+                           st.sampled_from([1, 2, 100])),
+                 min_size=1, max_size=12)  # (problem, n_prime, max_passes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS, invert=st.lists(st.booleans(), min_size=6, max_size=6),
+       sigma=st.sampled_from([0.05, 0.3, 0.6]), seed=st.integers(0, 3))
+def test_random_lockstep_batches_equal_their_las_runs(rows, invert, sigma,
+                                                      seed):
+    # duplicated rows, six problems on three shared blocks, MF or inverted
+    # starts, and rows in any order
+    ys, xc, A, b0, block = _fixed_set_problems(seed, M=40, sigma=sigma)
+    b0[invert] = -b0[invert]
+    problem, n_prime, max_passes = map(np.array, zip(*rows))
+    runs = las_lockstep(ys, xc, A, b0, n_prime, max_passes, problem=problem,
+                        block=block)
+    _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem,
+                                    n_prime, max_passes)
+
+
 def _per_entry_matvec(xc, X, block):
     """H @ x of each problem by the per-entry gather of its block."""
     return np.stack([np.add.reduceat(x[h.indices] * h.h_data, h.indptr[:-1])
@@ -472,7 +633,7 @@ def _per_entry_matvec(xc, X, block):
 
 @pytest.mark.parametrize("unequal", [False, True])
 def test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal):
-    # full blocks multiply by one broadcast product, sparse ones by a gather;
+    # full blocks multiply by broadcast products, sparse ones by a gather;
     # on float vectors any other summation order would show in the last bits
     M, C, L = 40, 50, 3
     rng = np.random.default_rng(4)
@@ -492,6 +653,13 @@ def test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal):
             assert np.array_equal(xc.block(b).h_matvec(X[b]),
                                   _per_entry_matvec(xc, X[b:b + 1], [b])[0])
 
+
+@pytest.mark.parametrize("buffer", [1, 1100])
+def test_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
+    # a small product buffer takes a full block's rows one at a time, or in
+    # chunks of 9 and 13 rows (three and two problems) that do not divide M
+    monkeypatch.setattr(seqgen, "_MATVEC_BUFFER", buffer)
+    test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal=True)
 
 def _explicit_h(chips, n_chips):
     """The one-block stacked H of explicit (1, M, L) chips, signs +1."""
