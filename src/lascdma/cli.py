@@ -14,7 +14,8 @@ import numpy as np
 
 from . import detect, seqgen
 from .channel import ChannelParams, matched_filter, snr_to_sigma, transmit
-from .harness import ConfigError, ExperimentConfig, sweep, write_csv
+from .harness import (ConfigError, ExperimentConfig, snr_text, sweep,
+                      write_csv)
 
 # each preset is the paper's operating point with what its figure sweeps; the
 # experiment is named after the preset
@@ -153,10 +154,18 @@ def _check_writable(path):
         os.remove(path)
 
 
-def _warn_nonconverged(rows, err):
-    """One line per point whose LAS runs hit max_passes unconverged."""
+def _report(rows, out, err):
+    """The audit line of each row that carries one, then one warning line
+    per point whose LAS runs hit max_passes unconverged."""
     points = {}
     for e in rows:
+        if e.gml_match_rate is not None:
+            out.write(
+                f"audit: {e.detector} vs GML over {e.bits // e.M} trials "
+                f"(M={e.M}, L={e.L}, snr={snr_text(e.snr_db)} dB): "
+                f"agreement {e.gml_match_rate:.4f}, "
+                f"likelihood dominance violations {e.gml_omega_violations}\n"
+            )
         if e.seq_set == "avg":
             continue  # pooled from the set rows
         key = (e.experiment, e.M, e.L, e.snr_db)
@@ -169,22 +178,9 @@ def _warn_nonconverged(rows, err):
         if hit:
             err.write(
                 f"warning: runs stopped at max_passes before a verified fixed "
-                f"point (M={M}, L={L}, snr={snr:g} dB): {', '.join(hit)}; "
-                f"their decisions are in the BER\n"
+                f"point (M={M}, L={L}, snr={snr_text(snr)} dB): "
+                f"{', '.join(hit)}; their decisions are in the BER\n"
             )
-
-
-def _print_audit(rows, out):
-    for e in rows:
-        if e.gml_match_rate is None:
-            continue
-        trials = e.bits // e.M if e.M else 0
-        out.write(
-            f"audit: {e.detector} vs GML over {trials} trials "
-            f"(M={e.M}, L={e.L}, snr={e.snr_db:g} dB): "
-            f"agreement {e.gml_match_rate:.4f}, "
-            f"likelihood dominance violations {e.gml_omega_violations}\n"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +263,8 @@ def _st_crosscorr_dense(rng):
 def _st_noise_free_identity(rng):
     for i in range(20):
         M = int(rng.integers(2, 33))
-        C = 2 * M
-        L = int(rng.integers(1, 7))
-        S = seqgen.gen_sparse_matrix(C, M, L, rng)
-        A = np.full(M, 1.0)
-        xc = seqgen.crosscorrelation(S, A)
-        b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
-        y = matched_filter(S, transmit(S, ChannelParams(A, 0.0), b, rng))
+        L = int(rng.integers(1, min(6, 2 * M) + 1))  # L <= C = 2M
+        _, xc, A, b, y = _random_instance(rng, M, 0.5, L, np.inf)  # sigma 0
         ref = xc.h_matvec((A * b).astype(np.float64))  # A = 1: H = R
         if np.max(np.abs(y - ref)) > 1e-10:
             return f"instance {i}: matched filter deviates from R(Ab)"
@@ -364,13 +355,10 @@ def main(argv=None):
         rows, failures = sweep(config, bk_list, l_list, workers=args.workers)
         write_csv(rows, out_path)
         out.write(f"wrote {len(rows)} rows to {out_path}\n")
-        _print_audit(rows, out)
-        _warn_nonconverged(rows, sys.stderr)
-        if failures:
-            for label, exc in failures:
-                sys.stderr.write(f"infeasible point {label}: {exc}\n")
-            return 3
-        return 0
+        _report(rows, out, sys.stderr)
+        for label, exc in failures:
+            sys.stderr.write(f"infeasible point {label}: {exc}\n")
+        return 3 if failures else 0
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

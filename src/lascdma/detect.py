@@ -191,10 +191,8 @@ class _Lockstep:
         self.cnt = np.zeros((K, self.nb), dtype=np.int64)  # violators per block
         self.lanes = np.arange(_BLOCK)
         self.block_ids = np.arange(self.nb)
-        self.steps = np.zeros(K, dtype=np.int64)
-        self.flips = np.zeros(K, dtype=np.int64)
-        self.additions = np.zeros(K, dtype=np.int64)
-        self.passes = np.zeros(K, dtype=np.int64)
+        self.steps, self.flips, self.additions, self.passes = np.zeros(
+            (4, K), dtype=np.int64)
         self.check_gradient = check_gradient
         self.flip_log = [] if record_flips else None
         self.hooked = record_flips or check_gradient
@@ -439,14 +437,12 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
                    [0], None, schedule.parallel_steps, max_passes,
                    record_flips, check_gradient)
     row = np.zeros(1, dtype=np.int64)
-    overhead = xcorr.nnz  # initial gradient work
+    # the initial gradient, and one pass of |H| row sums for all-bit steps
+    overhead = xcorr.nnz * (1 if schedule.kind == "sequential" else 2)
 
-    if schedule.kind in ("sequential", "hybrid"):
-        if schedule.kind == "hybrid":
-            overhead += xcorr.nnz  # one pass of |H| row sums
+    if schedule.kind != "parallel":
         converged = _ascend(st, row)[0]
-    elif schedule.kind == "parallel":
-        overhead += xcorr.nnz
+    else:
         converged = False
         while st.passes[0] < max_passes:
             if st.set_step(row, xcorr.abs_row_sums)[0]:
@@ -458,8 +454,6 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
             if st.sequential(row, np.ones(1, dtype=np.int64))[0]:
                 converged = True
                 break
-    else:  # pragma: no cover - Schedule validates kind
-        raise ValueError(schedule.kind)
 
     return DetectorRun(
         bits=st.B[0, :st.M].astype(np.int8),

@@ -14,6 +14,7 @@ merged integer totals at deterministic batch boundaries, so results are
 bit-identical for a fixed seed under any worker count.
 """
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -259,7 +260,6 @@ class _PointCtx:
     max_passes: int
     sets: object  # the fixed SequenceMatrix list, or None for per-tx
     xcorr: object  # the fixed sets' stacked CrossCorr, or None
-    audit_detectors: tuple
     trial_keys: tuple  # per-set 128-bit Philox keys
 
 
@@ -313,13 +313,14 @@ def _detect(ctx, b, y, xc, block):
     """Run every detector on built transmissions (see _build); the LAS
     detectors of all of them run as rows of one lockstep kernel call.
 
-    Returns (counts, audit): counts[t, d] holds (errors, additions, passes,
-    unconverged) of detector d on transmission t, and audit[t, a] holds
-    (equals the GML decision, likelihood above GML's) of audit detector a.
+    Returns counts: counts[t, d] holds (errors, additions, passes,
+    unconverged, equals the GML decision, likelihood above GML's) of
+    detector d on transmission t; the last two are set for SLAS and WSLAS
+    when GML runs.
     """
     T = len(b)
     las = [d for d in ctx.detectors if d in LML_DETECTORS]
-    counts = np.zeros((T, len(ctx.detectors), 4), dtype=np.int64)
+    counts = np.zeros((T, len(ctx.detectors), 6), dtype=np.int64)
     decided = np.empty((T, len(ctx.detectors), ctx.M), dtype=np.int8)
     b_mf = mf_detect(y)
     if las:
@@ -329,8 +330,6 @@ def _detect(ctx, b, y, xc, block):
             max_passes=ctx.max_passes,
             problem=np.repeat(np.arange(T), len(las)), block=block,
         )
-    xcs = [xc.block(t if block is None else block[t])
-           for t in range(T)] if "GML" in ctx.detectors else None
     for d, det in enumerate(ctx.detectors):
         if det == "MF":
             decided[:, d] = b_mf
@@ -340,25 +339,20 @@ def _detect(ctx, b, y, xc, block):
             counts[:, d, 1] = runs.additions[rows]
             counts[:, d, 2] = runs.passes[rows]
             counts[:, d, 3] = ~runs.converged[rows]
-        else:  # GML
-            decided[:, d] = [gml_exhaustive(y_t, xc_t, ctx.amplitudes)[0]
-                             for y_t, xc_t in zip(y, xcs)]
+        else:  # GML comes last: the LAS decisions are audited against it
+            audited = [ctx.detectors.index(a) for a in las]
+            for t in range(T):
+                xc_t = xc.block(t if block is None else block[t])
+                gml = gml_exhaustive(y[t], xc_t, ctx.amplitudes)[0]
+                decided[t, d] = gml
+                om_gml = likelihood(gml, y[t], xc_t, ctx.amplitudes)
+                tol = 1e-9 * (1.0 + abs(om_gml))
+                for a in audited:
+                    counts[t, a, 4] = np.array_equal(decided[t, a], gml)
+                    counts[t, a, 5] = likelihood(
+                        decided[t, a], y[t], xc_t, ctx.amplitudes) > om_gml + tol
     counts[:, :, 0] = np.count_nonzero(decided != b[:, None], axis=2)
-
-    audit = np.zeros((T, len(ctx.audit_detectors), 2), dtype=np.int64)
-    if ctx.audit_detectors:
-        gml = decided[:, ctx.detectors.index("GML")]
-        audited = decided[:, [ctx.detectors.index(d)
-                              for d in ctx.audit_detectors]]
-        audit[:, :, 0] = (audited == gml[:, None]).all(axis=2)
-        for t in range(T):
-            om_gml = likelihood(gml[t], y[t], xcs[t], ctx.amplitudes)
-            tol = 1e-9 * (1.0 + abs(om_gml))
-            audit[t, :, 1] = [
-                likelihood(dec, y[t], xcs[t], ctx.amplitudes) > om_gml + tol
-                for dec in audited[t]
-            ]
-    return counts, audit
+    return counts
 
 
 def _group_size(ctx):
@@ -373,17 +367,12 @@ def _group_size(ctx):
 
 def _run_trials(ctx, items):
     """Run the trials [(set index, trial index), ...] and return the
-    concatenated (counts, audit) blocks of _detect, one entry per trial, in
-    order.  The trials are built and detected in lockstep groups of
-    _group_size; a trial's result does not depend on its group."""
+    concatenated counts of _detect, one entry per trial, in order.  The
+    trials are built and detected in lockstep groups of _group_size; a
+    trial's result does not depend on its group."""
     n = _group_size(ctx)
-    return _concat([_detect(ctx, *_build(ctx, items[i:i + n]))
-                    for i in range(0, len(items), n)])
-
-
-def _concat(blocks):
-    """One (counts, audit) pair from a list of them, in order."""
-    return tuple(np.concatenate(part) for part in zip(*blocks))
+    return np.concatenate([_detect(ctx, *_build(ctx, items[i:i + n]))
+                           for i in range(0, len(items), n)])
 
 
 _WORKER_CTX = None
@@ -398,12 +387,26 @@ def _worker_trials(items):
     return _run_trials(_WORKER_CTX, items)
 
 
-def _next_batch_trials(min_bit_errors, max_bits, bits_per_round, trials_done,
-                       pooled_bits, pooled_errors):
+def _blas_threads(n):
+    """Set numpy's bundled OpenBLAS to n threads; returns the count it had,
+    or None, changing nothing, where that library is not loaded."""
+    try:
+        with open("/proc/self/maps") as f:  # Linux
+            lib = ctypes.CDLL(next(ln.split()[-1] for ln in f
+                                   if "libscipy_openblas64_" in ln))
+        old = lib.scipy_openblas_get_num_threads64_()
+    except (OSError, StopIteration, AttributeError):
+        return None
+    lib.scipy_openblas_set_num_threads64_(n)
+    return old
+
+
+def _next_batch_trials(config, bits_per_round, trials_done, pooled_errors):
     """Deterministic batch sizing from merged totals only (worker-agnostic)."""
-    if pooled_bits >= max_bits:
+    min_bit_errors, pooled_bits = config.min_bit_errors, trials_done * bits_per_round
+    if pooled_bits >= config.max_bits:
         return 0
-    remaining = -(-(max_bits - pooled_bits) // bits_per_round)
+    remaining = -(-(config.max_bits - pooled_bits) // bits_per_round)
     if min_bit_errors == 0:
         return min(remaining, _MAX_BATCH_TRIALS)
     if trials_done == 0:
@@ -445,13 +448,12 @@ def _resolve_sets(config):
     return n_sets, sets, crosscorrelation(S, np.ones(M))
 
 
-def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
-                censored):
+def _point_rows(config, ctx, n_sets, tally, trials_done, censored):
     label = f"{config.experiment}[seed={config.seed}]"
     L_label = "dense" if config.L == "dense" else ctx.L
 
     def estimate(det, seq_set, counts, trials):
-        err, adds, passes, unconverged = counts.tolist()
+        err, adds, passes, unconverged = counts[:4].tolist()
         bits = trials * ctx.M
         lo, hi = wilson_interval(err, bits)
         return BerEstimate(
@@ -471,13 +473,12 @@ def _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
                      tally[s, d_idx], trials_done)
             for s in range(n_sets)
         ]
+        pooled = tally[:, d_idx].sum(axis=0)
         if n_sets > 1:
-            per_set.append(estimate(det, "avg", tally[:, d_idx].sum(axis=0),
-                                    trials_done * n_sets))
+            per_set.append(estimate(det, "avg", pooled, trials_done * n_sets))
         # the audit goes on the aggregate row: the avg row, or the only one
-        if det in ctx.audit_detectors and trials_done:
-            matches, viols = audit_tally[
-                ctx.audit_detectors.index(det)].tolist()
+        if det in LML_DETECTORS and "GML" in ctx.detectors and trials_done:
+            matches, viols = pooled[4:].tolist()
             per_set[-1].gml_match_rate = matches / (trials_done * n_sets)
             per_set[-1].gml_omega_violations = viols
         rows.extend(per_set)
@@ -488,27 +489,25 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
     M, C, L = config.M, config.C, config.resolved_L()
     detectors = config.normalized_detectors()
     amplitudes = np.ones(M)
-    audit_detectors = tuple(
-        d for d in detectors if d in LML_DETECTORS
-    ) if "GML" in detectors else ()
     ctx = _PointCtx(
         M=M, C=C, L=L, snr_db=snr_db,
         detectors=detectors, amplitudes=amplitudes,
         params=ChannelParams(amplitudes, snr_to_sigma(snr_db)),
         n_prime=config.n_prime, max_passes=config.max_passes,
-        sets=sets, xcorr=xcorr, audit_detectors=audit_detectors,
+        sets=sets, xcorr=xcorr,
         trial_keys=tuple(
             _trial_key(config.seed, M, C, L, snr_db, s) for s in range(n_sets)
         ),
     )
 
-    # per set and detector: (errors, additions, passes, unconverged); per
-    # audit detector: (matches, violations)
-    tally = np.zeros((n_sets, len(detectors), 4), dtype=np.int64)
-    audit_tally = np.zeros((len(audit_detectors), 2), dtype=np.int64)
+    # per set and detector: the counts of _detect, summed over trials
+    tally = np.zeros((n_sets, len(detectors), 6), dtype=np.int64)
     trials_done = 0
     bits_per_round = M * n_sets
 
+    # pool workers fill the cores, so they fork with one BLAS thread each:
+    # with one per core in each, per-tx points' dense products thrashed
+    blas = _blas_threads(1) if workers > 1 else None
     pool = None
     try:
         if workers > 1:
@@ -519,10 +518,7 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
             errs = tally[:, :, 0].sum(axis=0).tolist()
             if 0 < config.min_bit_errors <= min(errs):
                 break
-            n = _next_batch_trials(
-                config.min_bit_errors, config.max_bits, bits_per_round,
-                trials_done, trials_done * bits_per_round, errs,
-            )
+            n = _next_batch_trials(config, bits_per_round, trials_done, errs)
             if n == 0:
                 break
             batch_args = [
@@ -532,24 +528,24 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
             ]
             if pool is not None:
                 chunk = max(1, len(batch_args) // (workers * 4))
-                counts, audit = _concat(pool.map(_worker_trials, [
+                counts = np.concatenate(pool.map(_worker_trials, [
                     batch_args[i:i + chunk]
                     for i in range(0, len(batch_args), chunk)
                 ]))
             else:
-                counts, audit = _run_trials(ctx, batch_args)
+                counts = _run_trials(ctx, batch_args)
             np.add.at(tally, [s for s, _ in batch_args], counts)
-            audit_tally += audit.sum(axis=0)
             trials_done += n
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+        if blas:
+            _blas_threads(blas)
 
     # errs is current: the loop leaves only right after computing it
     censored = 0 < config.min_bit_errors and min(errs) < config.min_bit_errors
-    return _point_rows(config, ctx, n_sets, tally, audit_tally, trials_done,
-                       censored)
+    return _point_rows(config, ctx, n_sets, tally, trials_done, censored)
 
 
 def run_experiment(config, workers=1):
@@ -600,34 +596,27 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     return rows, failures
 
 
-CSV_HEADER = (
-    "experiment,detector,M,C,L,alpha_req,alpha_eff,snr_db,seq_set,"
-    "bits,errors,ber,ci_low,ci_high,adds_per_bit,passes_mean,censored"
+def snr_text(snr_db):
+    """snr_db as printed in the CSV and the report lines: :g, or its repr
+    where :g would read back as another float."""
+    text = f"{snr_db:g}"
+    return text if float(text) == snr_db else repr(snr_db)
+
+
+# the CSV columns in order: (BerEstimate field, printer of its value)
+_CSV_COLUMNS = (
+    ("experiment", str), ("detector", str), ("M", str), ("C", str), ("L", str),
+    ("alpha_req", "{:.6g}".format), ("alpha_eff", "{:.6g}".format),
+    ("snr_db", snr_text), ("seq_set", str), ("bits", str), ("errors", str),
+    ("ber", "{:.6e}".format), ("ci_low", "{:.6e}".format),
+    ("ci_high", "{:.6e}".format), ("adds_per_bit", "{:.4f}".format),
+    ("passes_mean", "{:.4f}".format), ("censored", lambda v: "1" if v else "0"),
 )
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 
 def _format_row(e):
-    return ",".join(
-        (
-            e.experiment,
-            e.detector,
-            str(e.M),
-            str(e.C),
-            str(e.L),
-            f"{e.alpha_req:.6g}",
-            f"{e.alpha_eff:.6g}",
-            f"{e.snr_db:g}",
-            e.seq_set,
-            str(e.bits),
-            str(e.errors),
-            f"{e.ber:.6e}",
-            f"{e.ci_low:.6e}",
-            f"{e.ci_high:.6e}",
-            f"{e.adds_per_bit:.4f}",
-            f"{e.passes_mean:.4f}",
-            "1" if e.censored else "0",
-        )
-    )
+    return ",".join(show(getattr(e, name)) for name, show in _CSV_COLUMNS)
 
 
 def write_csv(rows, fp):

@@ -58,7 +58,8 @@ class SequenceMatrix:
     signs: np.ndarray  # like chips, int8
 
     def __post_init__(self):
-        self.chips = np.ascontiguousarray(self.chips, dtype=np.int32)
+        # a dense stack's chips stay gen_sparse_matrix's broadcast view
+        self.chips = np.asarray(self.chips, dtype=np.int32)
         self.signs = np.ascontiguousarray(self.signs, dtype=np.int8)
         C, M = self.n_chips, self.n_bits
         if self.chips.ndim not in (2, 3) or self.chips.shape[-2] != M:

@@ -64,6 +64,13 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_draws_no_more_nonzeros_than_chips(capsys):
+    # the noise-free suite drew L up to 6 for C = 2M chips, so at M = 2
+    # some seeds (6 among them) raised ValueError out of main
+    assert main(["selftest", "--seed", "6"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+
+
 def test_selftest_seed_out_of_range_exits_2(capsys):
     for seed in ("-1", str(2 ** 64)):
         assert main(["selftest", "--seed", seed]) == 2
@@ -161,6 +168,17 @@ def test_config_keys_are_one_schema():
     example = readme.split("Config files are flat")[1].split("```")[1]
     assert re.findall(r"^#? ?(\w+) =", example, re.M) == list(cli._CONFIG_KEYS)
 
+
+
+def test_csv_columns_are_one_schema():
+    """The CSV table's columns are BerEstimate fields, and the README's
+    Output section shows CSV_HEADER."""
+    fields = [f.name for f in dataclasses.fields(harness.BerEstimate)]
+    names = [name for name, _ in harness._CSV_COLUMNS]
+    assert set(names) <= set(fields) and len(set(names)) == len(names)
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Output")[1].split("```")[1]
+    assert block.strip() == CSV_HEADER
 
 def test_run_requires_config_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -293,6 +311,90 @@ def test_run_with_gml_prints_audit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "audit: SLAS vs GML" in out
     assert "violations 0" in out
+
+
+# stdout and stderr of GML runs with max_passes = 1, as first recorded: the
+# audit lines, and warnings pooled over each point's per_tx or set rows
+_REPORT_CFG = ("M = 16\nalpha = 0.8\nL = 4\nsnr_db = 4,8\n"
+               "detectors = MF,SLAS,WSLAS,GML\nseed = 3\nmin_bit_errors = 0\n"
+               "max_bits = 640\nmax_passes = 1\nexperiment = pin\n")
+_REPORTS = {
+    "per_tx": (
+        'wrote 8 rows to {out}\n'
+        'audit: SLAS vs GML over 40 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.3000, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 40 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.0500, likelihood dominance violations 0\n'
+        'audit: SLAS vs GML over 40 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.3750, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 40 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.0500, likelihood dominance violations 0\n',
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=4 dB): '
+        'SLAS 37 of 40, WSLAS 40 of 40; their decisions are in the BER\n'
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=8 dB): '
+        'SLAS 38 of 40, WSLAS 40 of 40; their decisions are in the BER\n'),
+    "1": (
+        'wrote 8 rows to {out}\n'
+        'audit: SLAS vs GML over 40 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.3500, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 40 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.0250, likelihood dominance violations 0\n'
+        'audit: SLAS vs GML over 40 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.3750, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 40 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.0500, likelihood dominance violations 0\n',
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=4 dB): '
+        'SLAS 38 of 40, WSLAS 40 of 40; their decisions are in the BER\n'
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=8 dB): '
+        'SLAS 38 of 40, WSLAS 40 of 40; their decisions are in the BER\n'),
+    "3": (
+        'wrote 32 rows to {out}\n'
+        'audit: SLAS vs GML over 42 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.3810, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 42 trials (M=16, L=4, snr=4 dB): '
+        'agreement 0.0238, likelihood dominance violations 0\n'
+        'audit: SLAS vs GML over 42 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.3810, likelihood dominance violations 0\n'
+        'audit: WSLAS vs GML over 42 trials (M=16, L=4, snr=8 dB): '
+        'agreement 0.0714, likelihood dominance violations 0\n',
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=4 dB): '
+        'SLAS 41 of 42, WSLAS 42 of 42; their decisions are in the BER\n'
+        'warning: runs stopped at max_passes before a verified fixed '
+        'point (M=16, L=4, snr=8 dB): '
+        'SLAS 39 of 42, WSLAS 42 of 42; their decisions are in the BER\n'),
+}
+
+
+@pytest.mark.parametrize("seq_sets", list(_REPORTS))
+def test_report_text_is_pinned(tmp_path, capsys, seq_sets):
+    cfg = tmp_path / "pin.cfg"
+    cfg.write_text(_REPORT_CFG + f"seq_sets = {seq_sets}\n")
+    out = tmp_path / "pin.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout, stderr = _REPORTS[seq_sets]
+    assert capsys.readouterr() == (stdout.format(out=out), stderr)
+
+
+def test_snrs_a_thousandth_apart_print_apart(tmp_path, capsys):
+    # :g keeps six digits: 1234.567 and 1234.568 would both print 1234.57
+    cfg = tmp_path / "snr.cfg"
+    cfg.write_text("M = 12\nalpha = 0.75\nL = 3\nsnr_db = 1234.567,1234.568\n"
+                   "detectors = SLAS,GML\nmin_bit_errors = 0\nmax_bits = 24\n")
+    out = tmp_path / "snr.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    column = [row.split(",")[7] for row in out.read_text().splitlines()[1:]]
+    assert column == ["1234.567"] * 2 + ["1234.568"] * 2
+    audits = capsys.readouterr().out.splitlines()[1:]
+    assert len(audits) == 2
+    assert "snr=1234.567 dB" in audits[0] and "snr=1234.568 dB" in audits[1]
+    # where :g reads back as the same float, it is the text
+    assert [harness.snr_text(s) for s in (11.0, 2.5, -3.0, float("inf"))] == [
+        "11", "2.5", "-3", "inf"]
 
 
 def test_config_comments_and_scientific_notation(tmp_path):

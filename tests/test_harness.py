@@ -152,6 +152,29 @@ def test_determinism_same_seed_and_workers():
     assert csv_bytes(a) != csv_bytes(d)
 
 
+def test_pool_workers_fork_with_one_blas_thread(monkeypatch):
+    # a BLAS thread per core in each worker made per-tx dense points thrash
+    before = harness._blas_threads(2)
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    run_trials = harness._run_trials
+
+    def in_worker(ctx, items):
+        assert harness._blas_threads(1) == 1
+        return run_trials(ctx, items)
+
+    monkeypatch.setattr(harness, "_run_trials", in_worker)
+    config = small_config(M=128, L="dense", max_bits=128 * 16)
+    try:
+        pooled = run_experiment(config, workers=2)
+        assert harness._blas_threads(2) == 2  # the parent's count is back
+    finally:
+        harness._blas_threads(before)
+    monkeypatch.undo()
+    # the parent's products run on two threads, the workers' on one
+    assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+
+
 def test_fixed_sets_reporting():
     # M > 128 switches to five fixed sets plus a pooled average row
     cfg = ExperimentConfig(M=160, alpha=0.8, L=4, snr_db=6.0,
@@ -372,7 +395,7 @@ def test_group_build_equals_per_trial_build(M, L):
         M=M, C=C, L=L, snr_db=6.0, detectors=("MF",), amplitudes=A,
         params=harness.ChannelParams(A, harness.snr_to_sigma(6.0)),
         n_prime=10, max_passes=100, sets=None, xcorr=None,
-        audit_detectors=(), trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
+        trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
     items = [(0, t) for t in range(5)]
     b, y, xc, block = harness._build(ctx, items)
     assert block is None and xc.n_blocks == len(items)
@@ -413,6 +436,6 @@ def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
         M=M, C=C, L=L, snr_db=6.0, detectors=("MF",), amplitudes=A,
         params=harness.ChannelParams(A, harness.snr_to_sigma(6.0)),
         n_prime=10, max_passes=100, sets=None, xcorr=None,
-        audit_detectors=(), trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
+        trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
     harness._build(ctx, [(0, t) for t in range(5)])
     assert pools == [5]

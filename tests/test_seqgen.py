@@ -37,6 +37,19 @@ def test_single_chip_column_has_exact_unit_norm():
     assert np.linalg.norm(col) == 1.0  # 1/sqrt(1) is exact
 
 
+def test_dense_stack_chips_stay_one_row():
+    # every column of a dense matrix holds chips 0..C-1: the stack's chips,
+    # and each set's, are views of one C-entry row, not B x M x C int32
+    C, M, B = 40, 32, 3
+    S = gen_sparse_matrix(C, M, C, [rng_for(s) for s in range(B)])
+    for chips in (S.chips, SequenceMatrix(C, M, S.chips[1], S.signs[1]).chips):
+        owner = chips
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.nbytes == C * 4
+        assert np.array_equal(chips, np.broadcast_to(np.arange(C), chips.shape))
+
+
 def test_generator_errors():
     with pytest.raises(ValueError):
         gen_sparse_matrix(4, 1, 0, rng_for(0))
