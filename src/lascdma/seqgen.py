@@ -13,17 +13,19 @@ Crosscorrelations sum each column pair's sign products as integers and
 divide by L once, so every value of S^T S is the correctly rounded n/L of
 its integer sign sum n, by one of two routes.  The chip-index route pairs
 only the columns that share a chip, through an inverted chip index, and
-sums by one in-place sort of (row, column, sign) keys: its work is pairs =
-sum_c occupancy(c)^2.  The gather route gathers an int8 C x M sign matrix
-at each column's L chips and sums in int16, M^2 L entries per matrix and no
-BLAS (tiny multi-threaded products oversubscribe the worker processes); it
-runs when M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C
-every pair overlaps, and each block's values come from the dense product
-S^T S.  Entries whose sign products cancel to exactly 0.0 are kept in the
+sums by one in-place sort of (row, column, sign) keys per chunk of rows:
+its work is pairs = sum_c occupancy(c)^2, its memory H plus one chunk.  The
+gather route gathers an int8 C x M sign matrix at each column's L chips
+and sums in int16, M^2 L entries per matrix and no BLAS (tiny
+multi-threaded products oversubscribe the worker processes); it runs when
+M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C every
+pair overlaps, and each block's values come from the dense product S^T S.
+Entries whose sign products cancel to exactly 0.0 are kept in the
 sparse structure: the pair shares chip support, and a sparse detector
 implementation stores and touches that entry regardless of its value.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,9 +35,12 @@ import numpy as np
 # 100-170 ns (M = 128..1024); below 50 the gather route was 1.1-5.6x as
 # fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
 _GATHER_PER_PAIR = 50
+# chip-index pairs listed and sorted at a time, about 1.6 MB of temporaries:
+# 2^16..2^18 took the same time, and 2^18 raised fixed-set peaks by 2-4 MB
+_PAIR_BUFFER = 1 << 16
 # chip-sampler uniforms drawn at a time: 512 KB of doubles stay in cache
 _UNIFORM_BUFFER = 1 << 16
-# products a full block's h_matvec holds at a time (1 MB): 8 rows of H for
+# products a block's h_matvec holds at a time (1 MB): 8 rows of H for
 # 16 problems at M = 1024.  On a Xeon with 2 MB of L2 per core that took
 # 17-21 ms per block against 23-25 ms for one product per problem; chunks
 # of 2 MB gained less
@@ -183,10 +188,11 @@ class CrossCorr:
         per problem, (P, M), and problem p is multiplied by block block[p]
         (default: block p, in one pass).  Each row's products x_j H_kj are
         summed by np.add.reduceat over its row segment.  A full block takes
-        them as a broadcast of x against its (M, M) values; given block=,
-        all its problems go through each chunk of its rows together, so each
-        chunk is read once.  A sparse block gathers x at its column indices,
-        converted to intp once for all its problems.  The products (IEEE
+        them as a broadcast of x against its (M, M) values; a sparse one,
+        given block=, as the rows of x^T gathered at its column indices (a
+        row per entry, a column per problem), summed along axis 0.  Given
+        block=, all of a block's problems go through each chunk of its rows
+        together, so each chunk is read once.  The products (IEEE
         multiplication commutes) and segments are the per-entry gather's,
         and every row sums as its block alone does, so neither the
         full-block form, the chunks nor the stacking moves a bit."""
@@ -222,11 +228,12 @@ class CrossCorr:
                         v.reshape(-1), np.arange(0, v.size, M)).reshape(
                             ps.size, -1)
                 continue
-            at = xc.indices.astype(np.intp)  # once for the block's problems
-            v = np.empty(at.size)
-            for p in ps:
-                np.multiply(X[p][at], xc.h_data, out=v)
-                out[p] = np.add.reduceat(v, xc.indptr[:-1])
+            Xt = np.ascontiguousarray(X[ps].T)  # row j: x_j of each problem
+            for lo, hi, a, e in _row_chunks(xc.indptr,
+                                            _MATVEC_BUFFER // ps.size):
+                v = np.take(Xt, xc.indices[a:e], axis=0)
+                v *= xc.h_data[a:e, None]
+                out[ps, lo:hi] = np.add.reduceat(v, xc.indptr[lo:hi] - a, 0).T
         return out.reshape(np.shape(x))
 
     def dense_h(self):
@@ -238,11 +245,24 @@ class CrossCorr:
 
     @cached_property
     def abs_row_sums(self):
-        """sum_j |H_kj| per row; the all-bits update threshold.  Summed
-        block by block, so that |H| is copied one block at a time."""
-        return np.concatenate([
-            np.add.reduceat(np.abs(xc.h_data), xc.indptr[:-1])
-            for xc in map(self.block, range(self.n_blocks))])
+        """sum_j |H_kj| per row; the all-bits update threshold.  Summed over
+        row chunks, so that |H| is copied a bounded chunk at a time."""
+        out = np.empty(self.indptr.size - 1)
+        for lo, hi, a, e in _row_chunks(self.indptr, _MATVEC_BUFFER):
+            out[lo:hi] = np.add.reduceat(np.abs(self.h_data[a:e]),
+                                         self.indptr[lo:hi] - a)
+        return out
+
+
+def _row_chunks(ptr, cap):
+    """Chunks of consecutive rows, in order, covering the rows of the
+    CSR-style pointer ptr: (lo, hi) rows with (ptr[lo], ptr[hi]) entries,
+    at most cap of them, or one row that alone holds more."""
+    lo, rows = 0, ptr.size - 1
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + cap, "right")) - 1)
+        yield lo, hi, ptr[lo], ptr[hi]
+        lo = hi
 
 
 def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
@@ -253,9 +273,9 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     stream.  Given a list of B Generators instead, it draws a stack: matrix
     b from rng[b], exactly as alone.  Duplicate columns are allowed (the
     random model does not exclude them).  With threads > 1, a stack of
-    distinct Generators is drawn on up to that many threads, one matrix per
-    thread at a time, each through a buffer of its own; the output is the
-    same.
+    distinct PCG64 Generators is drawn on up to min(threads, B) threads,
+    each taking an even share of the stack's rows through a buffer of its
+    own; the output is the same.
     """
     C, M, L = n_chips, n_bits, n_nonzero
     if not 1 <= L <= C:
@@ -275,24 +295,35 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
         # M x C draw, and each row's selection reads only that row, so the
         # chips and the signs after them are the whole-array draw's.
         chips = np.empty((len(rngs), M, L), dtype=np.int32)
-        rows = max(1, _UNIFORM_BUFFER // C)
-        def draw(t):  # matrices t, t + n, ... through a buffer of their own
-            u = np.empty((min(rows, M), C))
-            for g, c in zip(rngs[t::n], chips[t::n]):
-                for lo in range(0, M, rows):
-                    part = u[:min(rows, M - lo)]
+        flat, rows = chips.reshape(-1, L), max(1, _UNIFORM_BUFFER // C)
+        def draw(lo, hi):  # stack rows lo..hi-1, through a buffer of their own
+            u = np.empty((min(rows, hi - lo), C))
+            for b in range(lo // M, (hi - 1) // M + 1):
+                a, e, g = max(lo, b * M), min(hi, b * M + M), rngs[b]
+                if n > 1:  # a copy of set b's Generator, advanced to row a
+                    g = copy.deepcopy(g)
+                    g.bit_generator.advance((a - b * M) * C)
+                for r in range(a, e, rows):
+                    part = u[:min(rows, e - r)]
                     g.random(out=part)
-                    c[lo:lo + len(part)] = np.argpartition(part, L, 1)[:, :L]
-        # the fill and the partition release the GIL.  A Generator shared by
-        # two matrices is drawn from in order, on one thread
-        distinct = len({id(g) for g in rngs}) == len(rngs)
-        n = min(len(rngs), threads) if distinct else 1
+                    flat[r:r + len(part)] = np.argpartition(part, L, 1)[:, :L]
+        # the fill and the partition release the GIL.  Threads split the
+        # rows evenly, given distinct Generators whose advance steps one
+        # double and that hold no buffered 32-bit word (Philox advances by 4
+        # words); others are drawn in order, on one thread
+        split = len({id(g) for g in rngs}) == len(rngs) and all(
+            isinstance(g.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+            and not g.bit_generator.state["has_uint32"] for g in rngs)
+        n = min(len(rngs), threads) if split else 1
         if n == 1:
-            draw(0)
+            draw(0, len(flat))
         else:  # imported here: at module level it would slow every start-up
             from concurrent.futures import ThreadPoolExecutor
+            cuts = [len(flat) * t // n for t in range(n + 1)]
             with ThreadPoolExecutor(n) as pool:
-                list(pool.map(draw, range(n)))
+                list(pool.map(draw, cuts[:-1], cuts[1:]))
+            for g in rngs:  # on to the signs, past the set's M x C doubles
+                g.bit_generator.advance(M * C)
         chips.sort(axis=-1)
     signs = np.stack([g.integers(0, 2, size=(M, L), dtype=np.int8)
                       for g in rngs]) * 2 - 1
@@ -306,8 +337,8 @@ def crosscorrelation(S, amplitudes):
     block per matrix of the stack S, all with the same amplitudes.
 
     Each R entry is the exact n/L of its integer sign sum n, by the chip
-    index route (work sum_c occupancy(c)^2, block by block, into one set of
-    arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
+    index route (work sum_c occupancy(c)^2, in chunks of rows, into one set
+    of arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
     (M^2 L entries per block, all blocks at once).  When 2L > C every
     column pair shares a chip (the structure is full), so each block's
     product is taken densely instead.
@@ -371,41 +402,44 @@ def _gather_route(S):
 
 
 def _chip_index_route(S, occ, pairs):
-    """(indptr, indices, r_data) block by block: each chip's occupant pairs
-    give one (row, column, signs agree) key, summed per (row, column) after
-    an in-place sort, into arrays sized by the pair counts and then shrunk."""
-    B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
+    """(indptr, indices, r_data) in chunks of rows of up to _PAIR_BUFFER
+    pairs: each chip of a row gives one (row, column, signs agree) key per
+    occupant, summed per (row, column) after an in-place sort, into arrays
+    sized by the pair counts and then shrunk."""
+    B, M, L = S.n_blocks, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
-    # per-pair arrays (positions, key) in int32 while every value fits,
-    # which halves them; int64 beyond
-    it = np.int32 if max(2 * M * M, pairs.max(), cols.size) < 2**31 else np.int64
-    cols = (cols % M).astype(it, copy=False)  # column within the block
+    chips, signs, occ = S.stacked_chips(), S.signs.ravel(), occ.ravel()
+    rptr = np.concatenate(([0], np.cumsum(occ[chips].reshape(-1, L).sum(1))))
     cap = int(np.minimum(pairs, M * M).sum())
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
     r_data = np.empty(cap)
     at = 0
-    for b in range(B):
-        # the pairs of chip c run in occ(c) rows, one per position p of c in
-        # the chip index: p against each position of c from the first, s(c)
-        occ_p = np.repeat(occ[b].astype(it), occ[b])  # occ(c) at positions
-        ia = np.repeat(np.arange(cptr[b * C], cptr[b * C + C], dtype=it), occ_p)
-        shift = np.cumsum(occ_p, dtype=it) - occ_p - np.repeat(
-            cptr[b * C:b * C + C].astype(it), occ[b])  # row start - s(c)
-        ib = np.arange(pairs[b], dtype=it) - np.repeat(shift, occ_p)
+    for lo, hi, a, e in _row_chunks(rptr, _PAIR_BUFFER):
+        ch = chips[lo * L:hi * L]
+        n, c = e - a, occ[ch]
+        # per-pair arrays (positions, key) in int32 while every value fits,
+        # which halves them; int64 beyond.  A row's pair i on a chip is with
+        # the chip's occupant i, at position cptr[chip] + i of the index
+        it = np.int32 if max(2 * (hi - lo) * M, n, cols.size) < 2**31 else np.int64
+        shift = (np.cumsum(c) - c - cptr[ch]).astype(it)
+        pos = np.arange(n, dtype=it) - np.repeat(shift, c)
         # key = (row, col) << 1 | (sign product > 0); the exact integer sign
         # sum n of a (row, col) is the running sum of the +/-1 products at
         # its last key minus that at the key before, divided by L once
-        key = cols[ia] * (2 * M) + cols[ib] * 2 + (csigns[ia] == csigns[ib])
-        del ia, ib
+        key = np.repeat(np.arange(hi - lo, dtype=it).repeat(L), c)
+        key *= 2 * M
+        key += cols[pos] % M * 2  # column within the block
+        key += np.repeat(signs[lo * L:hi * L], c) == csigns[pos]
+        del pos
         key.sort()
         last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
-        ukey, n = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
+        ukey, s = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
         end = at + ukey.size
-        np.divide(np.diff(n, prepend=0), L, out=r_data[at:end])
+        np.divide(np.diff(s, prepend=0), L, out=r_data[at:end])
         indices[at:end] = ukey % M
-        indptr[b * M + 1:(b + 1) * M + 1] = at + np.cumsum(
-            np.bincount(ukey // M, minlength=M))
+        indptr[lo + 1:hi + 1] = at + np.cumsum(
+            np.bincount(ukey // M, minlength=hi - lo))
         at = end
     for a in (indices, r_data):  # shrunk in place: a copy would raise the peak
         a.resize(at, refcheck=False)

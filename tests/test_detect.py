@@ -661,6 +661,30 @@ def test_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     monkeypatch.setattr(seqgen, "_MATVEC_BUFFER", buffer)
     test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal=True)
 
+
+@pytest.mark.parametrize("buffer", [1, 7919, seqgen._MATVEC_BUFFER])
+def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
+    # sparse rows of about 146 entries, past numpy's 8-way unrolled and
+    # 128-entry pairwise sums: a row per chunk, chunks of 18 to 55 rows
+    # (three problems to one) that end mid-block, and the default, a block
+    # per chunk.  Each row sums as the per-entry gather's 1-D reduceat
+    # does; the |H| row sums likewise
+    monkeypatch.setattr(seqgen, "_MATVEC_BUFFER", buffer)
+    M, C, L = 256, 320, 16
+    rng = np.random.default_rng(6)
+    _, xc = _stacked_h(6, C, M, L, rng.uniform(0.5, 2.0, M))
+    assert not xc.full_blocks.any() and np.diff(xc.indptr).max() > 128
+    X = rng.standard_normal((7, M))
+    block = np.array([2, 0, 1, 0, 2, 1, 2])  # repeated and out of order
+    assert np.array_equal(xc.h_matvec(X, block),
+                          _per_entry_matvec(xc, X, block))
+    assert np.array_equal(xc.h_matvec(X[:1], [1]),
+                          _per_entry_matvec(xc, X[:1], [1]))
+    assert np.array_equal(xc.abs_row_sums, np.concatenate([
+        np.add.reduceat(np.abs(h.h_data), h.indptr[:-1])
+        for h in map(xc.block, range(3))]))
+
+
 def _explicit_h(chips, n_chips):
     """The one-block stacked H of explicit (1, M, L) chips, signs +1."""
     chips = np.asarray(chips)

@@ -205,10 +205,13 @@ def test_fixed_sets_without_las_rows(cfg):
     assert all(r.bits > 0 for r in rows)
 
 
-@pytest.mark.parametrize("L, digest", [
+_H_PINS = [
     (16, "790f8c495c71ebe9baf600b979390b67713b71557f57a0c05ddf25027e688e47"),
     (3, "66965cca56859a159b4a8439e6daed9af022d60f4149f10c7ad518a2bc367ce4"),
-], ids=["L=16", "L=3"])
+]
+
+
+@pytest.mark.parametrize("L, digest", _H_PINS, ids=["L=16", "L=3"])
 def test_fixed_set_crosscorrelation_bytes(L, digest):
     # SHA-256 of the stacked H of the five fixed sets at M = 1024, seed 1,
     # recorded with the whole-array chip sampler and int64 pair arrays: the
@@ -219,6 +222,16 @@ def test_fixed_set_crosscorrelation_bytes(L, digest):
     for a in (xc.indptr, xc.indices, xc.h_data, xc.diag):
         h.update(a.tobytes())
     assert n_sets == 5 and h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("L, digest", _H_PINS, ids=["L=16", "L=3"])
+def test_fixed_set_crosscorrelation_bytes_in_pair_chunks(L, digest,
+                                                         monkeypatch):
+    # the same pins with the chip-index route's rows listed in chunks of
+    # 4099 pairs, about 19 rows at L = 16 and 400 at L = 3, where the
+    # default takes about 300 rows at L = 16 and the whole stack at L = 3
+    monkeypatch.setattr(seqgen, "_PAIR_BUFFER", 4099)
+    test_fixed_set_crosscorrelation_bytes(L, digest)
 
 
 def test_nonconverged_runs_are_counted():

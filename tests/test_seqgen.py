@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import math
 import sys
 import tracemalloc
@@ -133,6 +134,38 @@ def test_shared_generator_is_drawn_in_order(monkeypatch):
     assert pools == []
 
 
+def test_threads_split_the_stack_rows_evenly(monkeypatch):
+    # three sets of 91 rows on two threads split at stack row 136, inside
+    # set 1: its second part draws from a copy of its Generator advanced to
+    # row 45, and each set's own Generator ends where the whole-array draw
+    # leaves it.  Philox advances by 4 words and a buffered 32-bit word is
+    # lost on an advance, so those are drawn on one thread
+    parts = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, *args):
+            parts.append(list(zip(*args[:2])))
+            return super().map(fn, *args)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    C, M, L = 300, 91, 7
+    buffered = rng_for(9)
+    buffered.integers(0, 2 ** 32, dtype=np.uint32)
+    cases = ([rng_for(s) for s in (3, 4, 5)],
+             [np.random.Generator(np.random.Philox(s)) for s in (3, 4, 5)],
+             [rng_for(3), rng_for(4), buffered])
+    for gens, split in zip(cases, ([(0, 136), (136, 273)], None, None)):
+        refs = [copy.deepcopy(g) for g in gens]
+        parts.clear()
+        stack = gen_sparse_matrix(C, M, L, gens, threads=2)
+        assert parts == ([split] if split else [])
+        for b, (g, ref) in enumerate(zip(gens, refs)):
+            chips, signs = whole_array_draw(C, M, L, ref)
+            assert np.array_equal(stack.chips[b], chips)
+            assert np.array_equal(stack.signs[b], signs)
+            assert np.array_equal(*(h.integers(0, 2 ** 32, 5, dtype=np.uint32)
+                                    for h in (g, ref)))
+
+
 def test_fixed_set_build_memory_is_bounded():
     # tracemalloc peaks (numpy reports its buffers to it) for one set at
     # M = 4096, C = 5120, L = 16.  gen_sparse_matrix: 321 MiB with the whole
@@ -174,11 +207,13 @@ def test_chip_index_route_with_int64_keys():
 
 
 @pytest.mark.parametrize("M", [32767, 32768, 32769])
-def test_chip_index_route_at_the_key_dtype_boundary(M):
-    # the sort keys (row, column, sign bit) are int32 while 2 M^2 < 2^31:
-    # M = 32767 has int32 keys, M = 32768 (2 M^2 = 2^31) and up int64, and
-    # int32 keys would overflow from M = 32769.  L = 1 over
-    # C = M / 8 chips: about 9 M pairs, down to the last row and column.
+def test_chip_index_route_at_the_key_dtype_boundary(M, monkeypatch):
+    # the sort keys (row, column, sign bit) of a chunk of R rows are int32
+    # while 2 R M < 2^31; with the whole block in one chunk, M = 32767 has
+    # int32 keys, M = 32768 (2 M^2 = 2^31) and up int64, and int32 keys
+    # would overflow from M = 32769.  L = 1 over C = M / 8 chips: about
+    # 9 M pairs, down to the last row and column.
+    monkeypatch.setattr(seqgen, "_PAIR_BUFFER", 1 << 20)
     C = M // 8
     g = rng_for(6)
     S = SequenceMatrix(C, M, g.integers(0, C, (M, 1)),
@@ -203,6 +238,60 @@ def test_chip_index_route_holds_no_idle_slots():
     assert (occ * occ).sum() > 1.05 * xc.nnz  # so there were idle slots
     for a in (xc.indices, xc.h_data):
         assert a.size == xc.nnz and a.base is None
+
+
+@pytest.mark.parametrize("buffer", [1, 1000, 1 << 20])
+def test_chip_index_route_in_pair_chunks(buffer, monkeypatch):
+    # chunks of one row, chunks that end inside a block (about 40 rows of
+    # 25 pairs), and one chunk for the whole stack: the same entries as the
+    # gather route, and each block the dense oracle's n/L
+    monkeypatch.setattr(seqgen, "_PAIR_BUFFER", buffer)
+    C, M, L = 120, 96, 5
+    S = gen_sparse_matrix(C, M, L, [rng_for(20 + b) for b in range(3)])
+    by_gather, by_index, _ = _routes(S)
+    for u, v in zip(by_gather, by_index):
+        assert np.array_equal(u, v)
+    xc = crosscorrelation(S, 1.0)
+    for b in range(3):
+        R = oracles.dense_crosscorr(SequenceMatrix(C, M, S.chips[b], S.signs[b]))
+        assert np.array_equal(xc.block(b).dense_h(), np.rint(R * L) / L)
+
+
+def _transients(M, P=8):
+    """tracemalloc peaks, less what stays held, of the chip-index route and
+    of a sparse h_matvec(block=) for one set at M, C = 1.25 M, L = 16, and
+    P problems.  Chips are drawn one per stripe of C / L chips, which is
+    quick and keeps each chip's occupancy near the uniform draw's."""
+    C, L = M * 5 // 4, 16
+    g = rng_for(M)
+    chips = np.arange(L) * (C // L) + g.integers(0, C // L, (M, L))
+    S = SequenceMatrix(C, M, chips, g.integers(0, 2, (M, L)) * 2 - 1)
+    S.chip_index
+    X = g.standard_normal((P, M))
+    tracemalloc.start()
+    try:
+        xc = crosscorrelation(S, 1.0)
+        held, peak = tracemalloc.get_traced_memory()
+        route = peak - held
+        tracemalloc.reset_peak()
+        out = xc.h_matvec(X, np.zeros(P, dtype=int))
+        held, peak = tracemalloc.get_traced_memory()
+        matvec = peak - held
+    finally:
+        tracemalloc.stop()
+    return route, matvec
+
+
+def test_setup_transients_do_not_follow_the_pairs():
+    # M = 4096 and 16384 hold 9 and 38 MiB of H.  Listing a whole block's
+    # pairs at once took 25 and 100 MiB above H, and a sparse h_matvec that
+    # copied the indices to intp beside a product per entry took 19 and
+    # 78 MiB.  In row chunks they took 3.2 and 7.1 MiB (of which 0.9 and
+    # 3.0 MiB are the output's slots for pairs that share a (row, column),
+    # shrunk away at the end) and 2.4 and 3.3 MiB
+    for M in (4096, 16384):
+        route, matvec = _transients(M)
+        assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (M, route, matvec)
 
 
 def test_sign_frequency_and_position_uniformity():
