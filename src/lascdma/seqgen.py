@@ -3,18 +3,20 @@
 A spreading matrix has M unit-norm columns over C chips.  Each column has
 exactly L nonzero chips at distinct random positions, and every nonzero is
 +1/sqrt(L) or -1/sqrt(L) with equal probability.  L == C is the dense
-special case (ordinary random spreading).  A stack of B matrices, each
-drawn from its own Generator (on up to `threads` threads, which the
-harness asks for only for its fixed sets), has (B, M, L) chips and signs
-and is checked, correlated and transmitted through as one unit; its
-crosscorrelation is one block-stacked CrossCorr.
+special case (ordinary random spreading).  A column's chips are its L
+smallest of C uniforms.  A stack of B matrices, each drawn from its own
+Generator (on up to `threads` threads, which the harness asks for only
+for its fixed sets), has (B, M, L) chips and signs and is checked,
+correlated and transmitted through as one unit; its crosscorrelation is
+one block-stacked CrossCorr.
 
 Crosscorrelations sum each column pair's sign products as integers and
 divide by L once, so every value of S^T S is the correctly rounded n/L of
 its integer sign sum n, by one of two routes.  The chip-index route pairs
 only the columns that share a chip, through an inverted chip index, and
-sums by one in-place sort of (row, column, sign) keys per chunk of rows:
-its work is pairs = sum_c occupancy(c)^2, its memory H plus one chunk.  The
+sums by one in-place sort of (row, column, sign) keys per chunk of rows
+(on up to `threads` threads): its work is pairs = sum_c occupancy(c)^2,
+its memory H plus a chunk per thread.  The
 gather route gathers an int8 C x M sign matrix at each column's L chips
 and sums in int16, M^2 L entries per matrix and no BLAS (tiny
 multi-threaded products oversubscribe the worker processes); it runs when
@@ -38,8 +40,16 @@ _GATHER_PER_PAIR = 50
 # chip-index pairs listed and sorted at a time, about 1.6 MB of temporaries:
 # 2^16..2^18 took the same time, and 2^18 raised fixed-set peaks by 2-4 MB
 _PAIR_BUFFER = 1 << 16
-# chip-sampler uniforms drawn at a time: 512 KB of doubles stay in cache
+# chunks a route thread takes at least: M = 1024's five sets (17 chunks)
+# gained no time on two threads, and the threads' heaps kept 4 MB resident
+_THREAD_CHUNKS = 16
+# chip-sampler uniforms drawn at a time: 512 KB of doubles stay in cache,
+# but at least 32 rows up to 4 MB: five sets at C = 10,240 took 1.63 s on
+# two threads in 6-row buffers, 1.30 s in 32-row ones
 _UNIFORM_BUFFER = 1 << 16
+# _smallest's z, and the share of a row past which a partition beat its
+# sort (twice as fast at C = 80, L = 16, where t = 0.47)
+_SELECT_Z, _SELECT_SHARE = 5, 0.25
 # products a block's h_matvec holds at a time (1 MB): 8 rows of H for
 # 16 problems at M = 1024.  On a Xeon with 2 MB of L2 per core that took
 # 17-21 ms per block against 23-25 ms for one product per problem; chunks
@@ -265,6 +275,33 @@ def _row_chunks(ptr, cap):
         lo = hi
 
 
+def _smallest(u, L, out):
+    """Write into out each row's columns of its L smallest uniforms: the set
+    np.argpartition(u, L, 1)[:, :L] takes, ties included.  Only the entries
+    below t = (L + 1 + z sqrt(L + 1)) / C are sorted, by the exact key (row,
+    2^53 u).  A row with <= L of them or whose L-th and (L+1)-th smallest
+    tie is partitioned, and so is u when t > _SELECT_SHARE or a key is
+    inexact or too large."""
+    R, C = u.shape
+    t = (L + 1 + _SELECT_Z * np.sqrt(L + 1)) / C
+    K, rest = int(t * 2 ** 53) + 1, slice(None)  # K > every 2^53 u below t
+    if t <= _SELECT_SHARE and R * K < 2 ** 63:
+        at = np.flatnonzero(u < t)  # row by row
+        v = u.ravel()[at]
+        key = (v * 2.0 ** 53).astype(np.int64)
+        if np.array_equal(key * 2.0 ** -53, v):  # random() gives k 2^-53
+            counts = np.bincount(at // C, minlength=R)
+            key += at // C * K
+            order = np.argsort(key)
+            key, first, ok = key[order], np.cumsum(counts) - counts, counts > L
+            ok[ok] = key[first[ok] + L - 1] != key[first[ok] + L]
+            out[ok] = at[order[first[ok, None] + np.arange(L)]] % C
+            if ok.all():
+                return
+            rest = ~ok
+    out[rest] = np.argpartition(u[rest], L, 1)[:, :L]
+
+
 def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     """Draw a random spreading matrix: M columns, L distinct uniform chip
     positions each, independent equiprobable signs.
@@ -272,10 +309,11 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     rng is a seeded numpy Generator; output is deterministic for a fixed
     stream.  Given a list of B Generators instead, it draws a stack: matrix
     b from rng[b], exactly as alone.  Duplicate columns are allowed (the
-    random model does not exclude them).  With threads > 1, a stack of
-    distinct PCG64 Generators is drawn on up to min(threads, B) threads,
-    each taking an even share of the stack's rows through a buffer of its
-    own; the output is the same.
+    random model does not exclude them).  A buffer of uniforms may span
+    matrices, each part from its own Generator, and is selected at once.
+    With threads > 1, a stack of distinct PCG64 Generators is drawn on up to
+    min(threads, B) threads, each taking an even share of the stack's rows
+    through a buffer of its own; the output is the same.
     """
     C, M, L = n_chips, n_bits, n_nonzero
     if not 1 <= L <= C:
@@ -290,25 +328,26 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
         chips = np.broadcast_to(np.arange(C, dtype=np.int32), (len(rngs), M, C))
     else:
         # top-L of i.i.d. uniforms per row = uniform L-subset without
-        # replacement.  The M x C uniforms pass through a buffer of whole
-        # rows: filled chunk by chunk, the stream gives the doubles of one
-        # M x C draw, and each row's selection reads only that row, so the
-        # chips and the signs after them are the whole-array draw's.
+        # replacement.  Buffer by buffer, the stream gives one M x C draw's
+        # doubles, and a row's selection reads that row alone: same chips
         chips = np.empty((len(rngs), M, L), dtype=np.int32)
-        flat, rows = chips.reshape(-1, L), max(1, _UNIFORM_BUFFER // C)
+        flat, rows = chips.reshape(-1, L), max(
+            1, _UNIFORM_BUFFER // C, min(32, 8 * _UNIFORM_BUFFER // C))
         def draw(lo, hi):  # stack rows lo..hi-1, through a buffer of their own
-            u = np.empty((min(rows, hi - lo), C))
-            for b in range(lo // M, (hi - 1) // M + 1):
-                a, e, g = max(lo, b * M), min(hi, b * M + M), rngs[b]
-                if n > 1:  # a copy of set b's Generator, advanced to row a
-                    g = copy.deepcopy(g)
-                    g.bit_generator.advance((a - b * M) * C)
-                for r in range(a, e, rows):
-                    part = u[:min(rows, e - r)]
-                    g.random(out=part)
-                    flat[r:r + len(part)] = np.argpartition(part, L, 1)[:, :L]
-        # the fill and the partition release the GIL.  Threads split the
-        # rows evenly, given distinct Generators whose advance steps one
+            u, b = np.empty((min(rows, hi - lo), C)), -1
+            for r in range(lo, hi, rows):
+                e = min(hi, r + rows)
+                edges = [r, *range(r // M * M + M, e, M), e]
+                for a, s in zip(edges, edges[1:]):  # each set's rows in turn
+                    if a // M != b:
+                        b, g = a // M, rngs[a // M]
+                        if n > 1:  # a copy of set b's Generator, at row a
+                            g = copy.deepcopy(g)
+                            g.bit_generator.advance((a - b * M) * C)
+                    g.random(out=u[a - r:s - r])
+                _smallest(u[:e - r], L, flat[r:e])
+        # the fill and most selection steps release the GIL.  Threads split
+        # the rows evenly, given distinct Generators whose advance steps one
         # double and that hold no buffered 32-bit word (Philox advances by 4
         # words); others are drawn in order, on one thread
         split = len({id(g) for g in rngs}) == len(rngs) and all(
@@ -332,13 +371,14 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     return SequenceMatrix(C, M, chips, signs)
 
 
-def crosscorrelation(S, amplitudes):
+def crosscorrelation(S, amplitudes, threads=1):
     """Build H = A R A, with R = S^T S, as a sparse symmetric structure: one
     block per matrix of the stack S, all with the same amplitudes.
 
     Each R entry is the exact n/L of its integer sign sum n, by the chip
-    index route (work sum_c occupancy(c)^2, in chunks of rows, into one set
-    of arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
+    index route (work sum_c occupancy(c)^2, in chunks of rows on up to
+    `threads` threads, into one set of arrays; the same bytes for any
+    threads) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
     (M^2 L entries per block, all blocks at once).  When 2L > C every
     column pair shares a chip (the structure is full), so each block's
     product is taken densely instead.
@@ -368,7 +408,7 @@ def crosscorrelation(S, amplitudes):
         if M * M * L < _GATHER_PER_PAIR * pairs.mean():
             indptr, indices, r_data = _gather_route(S)
         else:
-            indptr, indices, r_data = _chip_index_route(S, occ, pairs)
+            indptr, indices, r_data = _chip_index_route(S, occ, pairs, threads)
         r_diag = np.ones(B * M)  # n = L on the diagonal
 
     if np.all(A == 1.0):
@@ -401,11 +441,13 @@ def _gather_route(S):
     return indptr, indices, n[pattern] / L
 
 
-def _chip_index_route(S, occ, pairs):
+def _chip_index_route(S, occ, pairs, threads=1):
     """(indptr, indices, r_data) in chunks of rows of up to _PAIR_BUFFER
     pairs: each chip of a row gives one (row, column, signs agree) key per
     occupant, summed per (row, column) after an in-place sort, into arrays
-    sized by the pair counts and then shrunk."""
+    sized by the pair counts and then shrunk.  On up to threads threads (at
+    least _THREAD_CHUNKS chunks each), at most that many chunks are in
+    flight, and they are written in order."""
     B, M, L = S.n_blocks, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
     chips, signs, occ = S.stacked_chips(), S.signs.ravel(), occ.ravel()
@@ -414,8 +456,8 @@ def _chip_index_route(S, occ, pairs):
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
     r_data = np.empty(cap)
-    at = 0
-    for lo, hi, a, e in _row_chunks(rptr, _PAIR_BUFFER):
+
+    def chunk(lo, hi, a, e):  # rows lo..hi-1: their columns, values, ends
         ch = chips[lo * L:hi * L]
         n, c = e - a, occ[ch]
         # per-pair arrays (positions, key) in int32 while every value fits,
@@ -435,12 +477,29 @@ def _chip_index_route(S, occ, pairs):
         key.sort()
         last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
         ukey, s = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
-        end = at + ukey.size
-        np.divide(np.diff(s, prepend=0), L, out=r_data[at:end])
-        indices[at:end] = ukey % M
-        indptr[lo + 1:hi + 1] = at + np.cumsum(
-            np.bincount(ukey // M, minlength=hi - lo))
-        at = end
+        ends = np.searchsorted(ukey, np.arange(1, hi - lo + 1, dtype=it) * M)
+        return lo, hi, ukey % M, np.diff(s, prepend=0) / L, ends
+
+    def summed(chunks, threads):  # in order; key.sort etc. release the GIL
+        if threads == 1:
+            yield from (chunk(*c) for c in chunks)
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(threads) as pool:
+            held = []
+            for c in chunks:
+                held.append(pool.submit(chunk, *c))
+                if len(held) == threads:
+                    yield held.pop(0).result()
+            yield from (f.result() for f in held)
+
+    chunks, at = list(_row_chunks(rptr, _PAIR_BUFFER)), 0
+    threads = max(1, min(threads, len(chunks) // _THREAD_CHUNKS))
+    for lo, hi, idx, r, ends in summed(chunks, threads):
+        indices[at:at + idx.size], r_data[at:at + idx.size] = idx, r
+        indptr[lo + 1:hi + 1] = at + ends
+        at += idx.size
+        del idx, r  # not held while the next chunk is awaited
     for a in (indices, r_data):  # shrunk in place: a copy would raise the peak
         a.resize(at, refcheck=False)
     return indptr, indices, r_data

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lascdma import seqgen
 from lascdma.seqgen import (
@@ -166,6 +167,119 @@ def test_threads_split_the_stack_rows_evenly(monkeypatch):
                                     for h in (g, ref)))
 
 
+def _selection(u, L):
+    """The chip sampler's selection of each row of u, and the reference:
+    the sorted columns that np.argpartition(u, L, 1)[:, :L] takes."""
+    out = np.empty((len(u), L), dtype=np.int32)
+    seqgen._smallest(u, L, out)
+    return np.sort(out, 1), np.sort(np.argpartition(u, L, 1)[:, :L], 1)
+
+
+def _crafted_rows(C, L, rng):
+    """Rows above the selection threshold t but for a few entries below it,
+    all multiples of 2^-10 (so that 2^53 u is an exact key): the L-th and
+    (L+1)-th smallest tied, by two and by many; ties inside the L smallest
+    only; exactly L, fewer than L and no entries below t; a plain row."""
+    t = (L + 1 + seqgen._SELECT_Z * math.sqrt(L + 1)) / C
+    grid = np.arange(1, int(t * 1024)) / 1024  # below t
+    assert grid.size > L + 2
+    low = grid[:L + 2]
+    cases = [np.r_[low[:L], low[L - 1], low[L + 1:]],  # L-th == (L+1)-th
+             np.full(L + 5, low[1]),  # L + 5 equal entries
+             np.r_[low[0], low[:L - 1], low[L:]],  # a tie among the first L
+             low[:L], low[:L // 2], low[:0], grid[:C // 2]]
+    rows = []
+    for small in cases * 4:  # each at several sets of positions
+        row = 0.5 + rng.integers(0, 512, C) / 1024
+        row[rng.choice(C, small.size, replace=False)] = small
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("C, L", [(128, 4), (200, 16), (64, 1), (400, 3)])
+def test_threshold_selection_equals_the_partition(C, L):
+    # on the crafted rows, as one buffer and as one-row buffers, with t
+    # below the selection's share so that its sort, not the partition,
+    # decides every row it does not send back
+    assert (L + 1 + seqgen._SELECT_Z * math.sqrt(L + 1)) / C <= seqgen._SELECT_SHARE
+    u = _crafted_rows(C, L, rng_for(C + L))
+    got, want = _selection(u, L)
+    assert np.array_equal(got, want)
+    for row in u:
+        got, want = _selection(row[None], L)
+        assert np.array_equal(got, want)
+
+
+def test_selection_at_l_equal_c_minus_1_and_inexact_keys():
+    # L = C - 1 (t above the share: the buffer is partitioned whole), and
+    # uniforms that are not multiples of 2^-53, whose keys would not be exact
+    g = rng_for(8)
+    for u, L in ((g.integers(0, 4, (50, 9)) / 4, 8),
+                 (g.random((40, 300)) / 3, 4)):
+        got, want = _selection(u, L)
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.integers(1, 6), C=st.integers(2, 400), L=st.integers(1, 24),
+       levels=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_selection_on_rows_with_many_ties(R, C, L, levels, seed):
+    # rows drawn from a few values spread over twice the threshold, so that
+    # ties at the L-th smallest and rows short of L + 1 entries below the
+    # threshold are common; both sides of the selection's share
+    L = min(L, C - 1)
+    t = (L + 1 + seqgen._SELECT_Z * math.sqrt(L + 1)) / C
+    values = np.floor(np.linspace(0, min(2 * t, 1), levels, endpoint=False)
+                      * 2 ** 20) / 2 ** 20
+    u = values[np.random.default_rng(seed).integers(0, levels, (R, C))]
+    got, want = _selection(u, L)
+    assert np.array_equal(got, want)
+
+
+def test_per_transmission_stack_buffers_span_sets():
+    # 49 Philox matrices at M = 64, C = 200, L = 4: a buffer of 327 rows
+    # holds parts of six sets, each filled from its own Generator; every
+    # set is its whole-array draw
+    C, M, L = 200, 64, 4
+    assert seqgen._UNIFORM_BUFFER // C % M
+    gens = [np.random.Generator(np.random.Philox(counter=[0, 0, 0, t], key=9))
+            for t in range(49)]
+    refs = [copy.deepcopy(g) for g in gens]
+    stack = gen_sparse_matrix(C, M, L, gens)
+    for b, ref in enumerate(refs):
+        chips, signs = whole_array_draw(C, M, L, ref)
+        assert np.array_equal(stack.chips[b], chips)
+        assert np.array_equal(stack.signs[b], signs)
+
+
+def _five_sets(L, seed, C=1280, M=1024):
+    return gen_sparse_matrix(C, M, L, [rng_for(5 * seed + s) for s in range(5)])
+
+
+@pytest.mark.parametrize("L, tol", [(4, 0.02), (16, 0.005)])
+def test_mean_h_entries_per_row_anchor(L, tol):
+    # a row's structural entries: itself and every column sharing a chip,
+    # 1 + (M - 1)(1 - C(C - L, L) / C(C, L)) in expectation.  Over seeds
+    # 0-9 of five sets at M = 1024 the ratio less 1 had a standard
+    # deviation of 0.0046 (L = 4) and 0.0011 (L = 16); tolerance about 4 sd
+    C, M = 1280, 1024
+    xc = crosscorrelation(_five_sets(L, 0), 1.0)
+    expected = 1 + (M - 1) * (1 - math.comb(C - L, L) / math.comb(C, L))
+    assert abs(xc.nnz / (5 * M) / expected - 1) < tol
+
+
+def test_chip_occupancy_variance_anchor():
+    # a chip's occupancy is Binomial(M, L / C): the variance over the chips
+    # about the exact mean M L / C, pooled over five sets, against
+    # M (L / C)(1 - L / C) = 12.64 at M = 1024, L = 16.  Over seeds 0-9 the
+    # ratio less 1 read -0.017 to +0.031, standard deviation 0.018
+    C, M, L = 1280, 1024, 16
+    S = _five_sets(L, 0)
+    occ = np.bincount(S.stacked_chips(), minlength=5 * C)
+    expected = M * (L / C) * (1 - L / C)
+    assert abs(occ.var() / expected - 1) < 0.075
+
+
 def test_fixed_set_build_memory_is_bounded():
     # tracemalloc peaks (numpy reports its buffers to it) for one set at
     # M = 4096, C = 5120, L = 16.  gen_sparse_matrix: 321 MiB with the whole
@@ -257,11 +371,12 @@ def test_chip_index_route_in_pair_chunks(buffer, monkeypatch):
         assert np.array_equal(xc.block(b).dense_h(), np.rint(R * L) / L)
 
 
-def _transients(M, P=8):
-    """tracemalloc peaks, less what stays held, of the chip-index route and
-    of a sparse h_matvec(block=) for one set at M, C = 1.25 M, L = 16, and
-    P problems.  Chips are drawn one per stripe of C / L chips, which is
-    quick and keeps each chip's occupancy near the uniform draw's."""
+def _transients(M, P=8, threads=1):
+    """tracemalloc peaks, less what stays held, of the chip-index route on
+    threads threads and of a sparse h_matvec(block=) for one set at M,
+    C = 1.25 M, L = 16, and P problems.  Chips are drawn one per stripe of
+    C / L chips, which is quick and keeps each chip's occupancy near the
+    uniform draw's."""
     C, L = M * 5 // 4, 16
     g = rng_for(M)
     chips = np.arange(L) * (C // L) + g.integers(0, C // L, (M, L))
@@ -270,7 +385,7 @@ def _transients(M, P=8):
     X = g.standard_normal((P, M))
     tracemalloc.start()
     try:
-        xc = crosscorrelation(S, 1.0)
+        xc = crosscorrelation(S, 1.0, threads)
         held, peak = tracemalloc.get_traced_memory()
         route = peak - held
         tracemalloc.reset_peak()
@@ -288,10 +403,14 @@ def test_setup_transients_do_not_follow_the_pairs():
     # copied the indices to intp beside a product per entry took 19 and
     # 78 MiB.  In row chunks they took 3.2 and 7.1 MiB (of which 0.9 and
     # 3.0 MiB are the output's slots for pairs that share a (row, column),
-    # shrunk away at the end) and 2.4 and 3.3 MiB
+    # shrunk away at the end) and 2.4 and 3.3 MiB.  Asked for two threads,
+    # the route runs M = 16384's 55 chunks on them in 9.4 MiB (M = 4096's
+    # 14 chunks stay on one)
     for M in (4096, 16384):
-        route, matvec = _transients(M)
-        assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (M, route, matvec)
+        for threads in (1, 2):
+            route, matvec = _transients(M, threads=threads)
+            assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (
+                M, threads, route, matvec)
 
 
 def test_sign_frequency_and_position_uniformity():
