@@ -437,15 +437,15 @@ def _resolve_sets(config):
         return 1, None, None
     n_sets = int(policy)
     # one stack, each set's H written into its block.  The sets are drawn
-    # and correlated once per point, here in the main process, on a thread
-    # per usable core whatever --workers is; per-transmission matrices are
-    # built in _build on the calling thread
+    # and correlated once per point, here in the main process, and drawn on
+    # a thread per usable core whatever --workers is; per-transmission
+    # matrices are built in _build on the calling thread
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     S = gen_sparse_matrix(C, M, L, [_set_matrix_rng(config.seed, M, C, L, s)
                                     for s in range(n_sets)], threads=cores)
     sets = [SequenceMatrix(C, M, c, g) for c, g in zip(S.chips, S.signs)]
-    return n_sets, sets, crosscorrelation(S, np.ones(M), threads=cores)
+    return n_sets, sets, crosscorrelation(S, np.ones(M))
 
 
 def _point_rows(config, ctx, n_sets, tally, trials_done, censored):

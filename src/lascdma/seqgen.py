@@ -14,9 +14,8 @@ Crosscorrelations sum each column pair's sign products as integers and
 divide by L once, so every value of S^T S is the correctly rounded n/L of
 its integer sign sum n, by one of two routes.  The chip-index route pairs
 only the columns that share a chip, through an inverted chip index, and
-sums by one in-place sort of (row, column, sign) keys per chunk of rows
-(on up to `threads` threads): its work is pairs = sum_c occupancy(c)^2,
-its memory H plus a chunk per thread.  The
+sums by one in-place sort of (row, column, sign) keys per chunk of rows:
+its work is pairs = sum_c occupancy(c)^2, its memory H plus a chunk.  The
 gather route gathers an int8 C x M sign matrix at each column's L chips
 and sums in int16, M^2 L entries per matrix and no BLAS (tiny
 multi-threaded products oversubscribe the worker processes); it runs when
@@ -33,16 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-# gathered entries per chip-index pair: an entry cost 1.5-3.6 ns and a pair
-# 100-170 ns (M = 128..1024); below 50 the gather route was 1.1-5.6x as
-# fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
+# gathered entries per chip-index pair: an entry cost 1.1-4.5 ns and a pair
+# 38-60 ns at L = 16 (M = 64..1024); below 50 the gather route was 0.8-5.1x
+# as fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
 _GATHER_PER_PAIR = 50
 # chip-index pairs listed and sorted at a time, about 1.6 MB of temporaries:
 # 2^16..2^18 took the same time, and 2^18 raised fixed-set peaks by 2-4 MB
 _PAIR_BUFFER = 1 << 16
-# chunks a route thread takes at least: M = 1024's five sets (17 chunks)
-# gained no time on two threads, and the threads' heaps kept 4 MB resident
-_THREAD_CHUNKS = 16
 # chip-sampler uniforms drawn at a time: 512 KB of doubles stay in cache,
 # but at least 32 rows up to 4 MB: five sets at C = 10,240 took 1.63 s on
 # two threads in 6-row buffers, 1.30 s in 32-row ones
@@ -124,11 +120,18 @@ class SequenceMatrix:
         cols[indptr[c]:indptr[c+1]], with matching signs.  Chips and columns
         are numbered across the stack (block b's column k is b*M + k).
         """
-        flat = self.stacked_chips()
-        order = np.argsort(flat, kind="stable")
-        cols = (order // self.n_nonzero).astype(np.int32)
-        signs = self.signs.ravel()[order]
+        flat = self.stacked_chips()  # a fresh int64 array
         counts = np.bincount(flat, minlength=self.n_blocks * self.n_chips)
+        # chip << s | position is unique, so one sort gives the stable
+        # argsort's order, in place.  Exact while B*C * 2^s <= 2^63, with
+        # 2^s <= 2 B*M*L: while B*C and B*M*L are both below 2^31
+        s = flat.size.bit_length()
+        flat <<= s
+        flat |= np.arange(flat.size)
+        flat.sort()
+        flat &= (1 << s) - 1  # the positions, in chip order
+        cols = (flat // self.n_nonzero).astype(np.int32)
+        signs = self.signs.ravel()[flat]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return indptr, cols, signs
 
@@ -320,6 +323,8 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
         raise ValueError(f"need 1 <= L <= C, got L={L}, C={C}")
     if M < 1:
         raise ValueError("need at least one column")
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
     single = not isinstance(rng, (list, tuple))
     rngs = [rng] if single else rng
     if not rngs:
@@ -371,14 +376,13 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     return SequenceMatrix(C, M, chips, signs)
 
 
-def crosscorrelation(S, amplitudes, threads=1):
+def crosscorrelation(S, amplitudes):
     """Build H = A R A, with R = S^T S, as a sparse symmetric structure: one
     block per matrix of the stack S, all with the same amplitudes.
 
     Each R entry is the exact n/L of its integer sign sum n, by the chip
-    index route (work sum_c occupancy(c)^2, in chunks of rows on up to
-    `threads` threads, into one set of arrays; the same bytes for any
-    threads) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
+    index route (work sum_c occupancy(c)^2, in chunks of rows, into one set
+    of arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
     (M^2 L entries per block, all blocks at once).  When 2L > C every
     column pair shares a chip (the structure is full), so each block's
     product is taken densely instead.
@@ -408,7 +412,7 @@ def crosscorrelation(S, amplitudes, threads=1):
         if M * M * L < _GATHER_PER_PAIR * pairs.mean():
             indptr, indices, r_data = _gather_route(S)
         else:
-            indptr, indices, r_data = _chip_index_route(S, occ, pairs, threads)
+            indptr, indices, r_data = _chip_index_route(S, occ, pairs)
         r_diag = np.ones(B * M)  # n = L on the diagonal
 
     if np.all(A == 1.0):
@@ -441,13 +445,11 @@ def _gather_route(S):
     return indptr, indices, n[pattern] / L
 
 
-def _chip_index_route(S, occ, pairs, threads=1):
+def _chip_index_route(S, occ, pairs):
     """(indptr, indices, r_data) in chunks of rows of up to _PAIR_BUFFER
     pairs: each chip of a row gives one (row, column, signs agree) key per
     occupant, summed per (row, column) after an in-place sort, into arrays
-    sized by the pair counts and then shrunk.  On up to threads threads (at
-    least _THREAD_CHUNKS chunks each), at most that many chunks are in
-    flight, and they are written in order."""
+    sized by the pair counts and then shrunk."""
     B, M, L = S.n_blocks, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
     chips, signs, occ = S.stacked_chips(), S.signs.ravel(), occ.ravel()
@@ -456,8 +458,8 @@ def _chip_index_route(S, occ, pairs, threads=1):
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
     r_data = np.empty(cap)
-
-    def chunk(lo, hi, a, e):  # rows lo..hi-1: their columns, values, ends
+    at = 0
+    for lo, hi, a, e in _row_chunks(rptr, _PAIR_BUFFER):
         ch = chips[lo * L:hi * L]
         n, c = e - a, occ[ch]
         # per-pair arrays (positions, key) in int32 while every value fits,
@@ -477,29 +479,12 @@ def _chip_index_route(S, occ, pairs, threads=1):
         key.sort()
         last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
         ukey, s = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
-        ends = np.searchsorted(ukey, np.arange(1, hi - lo + 1, dtype=it) * M)
-        return lo, hi, ukey % M, np.diff(s, prepend=0) / L, ends
-
-    def summed(chunks, threads):  # in order; key.sort etc. release the GIL
-        if threads == 1:
-            yield from (chunk(*c) for c in chunks)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(threads) as pool:
-            held = []
-            for c in chunks:
-                held.append(pool.submit(chunk, *c))
-                if len(held) == threads:
-                    yield held.pop(0).result()
-            yield from (f.result() for f in held)
-
-    chunks, at = list(_row_chunks(rptr, _PAIR_BUFFER)), 0
-    threads = max(1, min(threads, len(chunks) // _THREAD_CHUNKS))
-    for lo, hi, idx, r, ends in summed(chunks, threads):
-        indices[at:at + idx.size], r_data[at:at + idx.size] = idx, r
-        indptr[lo + 1:hi + 1] = at + ends
-        at += idx.size
-        del idx, r  # not held while the next chunk is awaited
+        end = at + ukey.size
+        np.divide(np.diff(s, prepend=0), L, out=r_data[at:end])
+        indices[at:end] = ukey % M
+        indptr[lo + 1:hi + 1] = at + np.searchsorted(
+            ukey, np.arange(1, hi - lo + 1, dtype=it) * M)
+        at = end
     for a in (indices, r_data):  # shrunk in place: a copy would raise the peak
         a.resize(at, refcheck=False)
     return indptr, indices, r_data

@@ -234,50 +234,6 @@ def test_fixed_set_crosscorrelation_bytes_in_pair_chunks(L, digest,
     test_fixed_set_crosscorrelation_bytes(L, digest)
 
 
-def _counting_pool():
-    """A ThreadPoolExecutor class that records each pool's size, and the
-    most futures submitted to its pools whose result was not yet read."""
-    sizes, live, peak = [], set(), [0]
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, n):
-            sizes.append(n)
-            super().__init__(n)
-
-        def submit(self, fn, *args, **kwargs):
-            fut = super().submit(fn, *args, **kwargs)
-            live.add(fut)
-            peak[0] = max(peak[0], len(live))
-            result = fut.result
-
-            def read(timeout=None):
-                live.discard(fut)
-                return result(timeout)
-            fut.result = read
-            return fut
-    return Pool, sizes, peak
-
-
-@pytest.mark.parametrize("buffer", [None, 4099], ids=["default", "4099"])
-@pytest.mark.parametrize("L, digest", _H_PINS, ids=["L=16", "L=3"])
-def test_fixed_set_crosscorrelation_bytes_on_two_threads(L, digest, buffer,
-                                                         monkeypatch):
-    # the pins with the chip-index route's chunks summed on two threads:
-    # written in order, with at most two chunks in flight.  The default
-    # buffer makes 17 chunks at L = 16 and one at L = 3, too few for a
-    # pool; 4099-pair chunks make 276 and 13 (one thread per 16 chunks)
-    pool, sizes, peak = _counting_pool()
-    if buffer:
-        monkeypatch.setattr(seqgen, "_PAIR_BUFFER", buffer)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    test_fixed_set_crosscorrelation_bytes(L, digest)
-    assert sizes == ([2, 2] if buffer and L == 16 else [2]) and peak == [2]
-
-
 def test_nonconverged_runs_are_counted():
     cfg = dict(M=160, alpha=0.8, L=4, snr_db=4.0,
                detectors=("MF", "SLAS", "WSLAS"), seed=2, min_bit_errors=0,
@@ -471,17 +427,8 @@ def test_group_build_equals_per_trial_build(M, L):
 def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
     # at M = 256 a matrix fills the chip sampler's buffer more than once:
     # the five fixed sets are drawn on a thread per usable core (8 here),
-    # five per-transmission trials built as one lockstep group on none.
-    # With 100-pair chunks both take the chip-index route in over 200
-    # chunks: the fixed sets' on 8 threads, the group's on the calling one
-    pools, routes = [], []
-    route = seqgen._chip_index_route
-
-    def counted_route(S, occ, pairs, threads=1):
-        routes.append((S.n_blocks, threads))
-        return route(S, occ, pairs, threads)
-    monkeypatch.setattr(seqgen, "_chip_index_route", counted_route)
-    monkeypatch.setattr(seqgen, "_PAIR_BUFFER", 100)
+    # five per-transmission trials built as one lockstep group on none
+    pools = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, n):
@@ -496,7 +443,7 @@ def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
     assert M * C > seqgen._UNIFORM_BUFFER
     harness._resolve_sets(ExperimentConfig(M=M, alpha=0.8, L=L, seed=1,
                                            seq_sets="5"))
-    assert pools == [5, 8] and routes == [(5, 8)]
+    assert pools == [5]
     A = np.ones(M)
     ctx = harness._PointCtx(
         M=M, C=C, L=L, snr_db=6.0, detectors=("MF",), amplitudes=A,
@@ -504,4 +451,4 @@ def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
         n_prime=10, max_passes=100, sets=None, xcorr=None,
         trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
     harness._build(ctx, [(0, t) for t in range(5)])
-    assert pools == [5, 8] and routes == [(5, 8), (5, 1)]
+    assert pools == [5]

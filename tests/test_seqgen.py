@@ -63,6 +63,13 @@ def test_generator_errors():
         gen_sparse_matrix(4, 1, 2, [])
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_generator_needs_a_thread(threads):
+    gens = [rng_for(s) for s in range(3)]
+    with pytest.raises(ValueError, match="at least one thread"):
+        gen_sparse_matrix(80, 64, 4, gens, threads=threads)
+
+
 def test_generator_deterministic_for_fixed_seed():
     a = gen_sparse_matrix(64, 32, 4, rng_for(7))
     b = gen_sparse_matrix(64, 32, 4, rng_for(7))
@@ -371,9 +378,9 @@ def test_chip_index_route_in_pair_chunks(buffer, monkeypatch):
         assert np.array_equal(xc.block(b).dense_h(), np.rint(R * L) / L)
 
 
-def _transients(M, P=8, threads=1):
-    """tracemalloc peaks, less what stays held, of the chip-index route on
-    threads threads and of a sparse h_matvec(block=) for one set at M,
+def _transients(M, P=8):
+    """tracemalloc peaks, less what stays held, of the chip-index route and
+    of a sparse h_matvec(block=) for one set at M,
     C = 1.25 M, L = 16, and P problems.  Chips are drawn one per stripe of
     C / L chips, which is quick and keeps each chip's occupancy near the
     uniform draw's."""
@@ -385,7 +392,7 @@ def _transients(M, P=8, threads=1):
     X = g.standard_normal((P, M))
     tracemalloc.start()
     try:
-        xc = crosscorrelation(S, 1.0, threads)
+        xc = crosscorrelation(S, 1.0)
         held, peak = tracemalloc.get_traced_memory()
         route = peak - held
         tracemalloc.reset_peak()
@@ -403,14 +410,10 @@ def test_setup_transients_do_not_follow_the_pairs():
     # copied the indices to intp beside a product per entry took 19 and
     # 78 MiB.  In row chunks they took 3.2 and 7.1 MiB (of which 0.9 and
     # 3.0 MiB are the output's slots for pairs that share a (row, column),
-    # shrunk away at the end) and 2.4 and 3.3 MiB.  Asked for two threads,
-    # the route runs M = 16384's 55 chunks on them in 9.4 MiB (M = 4096's
-    # 14 chunks stay on one)
+    # shrunk away at the end) and 2.4 and 3.3 MiB
     for M in (4096, 16384):
-        for threads in (1, 2):
-            route, matvec = _transients(M, threads=threads)
-            assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (
-                M, threads, route, matvec)
+        route, matvec = _transients(M)
+        assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (M, route, matvec)
 
 
 def test_sign_frequency_and_position_uniformity():
@@ -459,6 +462,28 @@ def test_chip_index_round_trip(seed, C, M, L):
         k, j = np.nonzero(S.chips == c)  # occupying columns, ascending
         assert np.array_equal(cols[indptr[c]:indptr[c + 1]], k)
         assert np.array_equal(signs[indptr[c]:indptr[c + 1]], S.signs[k, j])
+
+
+@pytest.mark.parametrize("C, M, L, B", [
+    (40, 32, 4, 1),
+    (40, 32, 4, 5),
+    (12, 1, 3, 5),   # M = 1
+    (16, 24, 1, 5),  # L = 1
+    (5, 64, 4, 5),   # C = L + 1: each chip holds about 51 of 64 columns
+])
+def test_chip_index_is_the_stable_chip_order(C, M, L, B):
+    # the index lists each chip's occupants in stack order, exactly as a
+    # stable argsort of the stacked chips does
+    S = gen_sparse_matrix(C, M, L, [rng_for(30 + b) for b in range(B)])
+    if B == 1:
+        S = SequenceMatrix(C, M, S.chips[0], S.signs[0])
+    flat = S.stacked_chips()
+    order = np.argsort(flat, kind="stable")
+    indptr, cols, signs = S.chip_index
+    assert np.array_equal(indptr, np.concatenate(
+        ([0], np.cumsum(np.bincount(flat, minlength=B * C)))))
+    assert cols.dtype == np.int32 and np.array_equal(cols, order // L)
+    assert np.array_equal(signs, S.signs.ravel()[order])
 
 
 @pytest.mark.parametrize("seed,C,M,L", [
