@@ -136,13 +136,14 @@ class _Lockstep:
     """Working state of K detector runs advanced together.
 
     Row r runs on problem problem[r] = (y, start vector, H), every H a
-    block of one stacked CrossCorr (problem p's is block hblock[p], default
-    p), with n_prime[r] all-bit steps and a budget of max_passes[r] passes;
-    rows of one problem share its initial gradient.  Rows stay in the
-    caller's order, and any row order is exact.  Bits, gradients and
-    negated H diagonals are (K, Mp) arrays, Mp being M rounded up to whole
-    blocks of _BLOCK bits; the padding never violates.  The debug switches
-    of las_run act per flip event; only las_run sets them, with K = 1.
+    block of one stacked CrossCorr: problem p's is block hblock[p], and
+    hblock None is np.arange(n_blocks), one problem per block.  It has
+    n_prime[r] all-bit steps and a budget of max_passes[r] passes; rows of
+    one problem share its initial gradient.  Rows stay in the caller's
+    order, and any row order is exact.  Bits, gradients and negated H
+    diagonals are (K, Mp) arrays, Mp being M rounded up to whole blocks of
+    _BLOCK bits; the padding never violates.  The debug switches of las_run
+    act per flip event; only las_run sets them, with K = 1.
     """
 
     def __init__(self, y, xcorr, amplitudes, b0, problem, hblock, n_prime,
@@ -157,9 +158,9 @@ class _Lockstep:
             raise ValueError("initial bits must be +/-1")
         self.problem = problem = _indices(
             np.arange(P) if problem is None else problem, P, "problem")
-        if hblock is not None:
-            hblock = _indices(hblock, xcorr.n_blocks, "block")
-        if (xcorr.n_blocks if hblock is None else hblock.size) != P:
+        hblock = _indices(np.arange(xcorr.n_blocks) if hblock is None
+                          else hblock, xcorr.n_blocks, "block")
+        if hblock.size != P:
             raise ValueError("need one H block per problem")
         self.K = K = problem.size
         self.M = M
@@ -175,7 +176,7 @@ class _Lockstep:
         self.Mp = Mp = self.nb * _BLOCK
         self.y, self.A, self.xc = y, A, xcorr
         g0 = A * y - xcorr.h_matvec(b0, hblock)
-        self.blk = blk = problem if hblock is None else hblock[problem]
+        self.blk = blk = hblock[problem]
         self.full = xcorr.full_blocks[blk]
         # windows[i] is h_data[i:i + M]: a full row from its first entry
         self.windows = np.lib.stride_tricks.sliding_window_view(
@@ -401,16 +402,16 @@ def las_lockstep(y, xcorr, amplitudes, b0, n_prime, max_passes=100,
     """Run K SLAS/WSLAS detectors in lockstep and return LockstepRuns.
 
     Problem p < P is (y[p], b0[p], its H).  xcorr is one stacked CrossCorr
-    whose block block[p] is problem p's H (default: block p); problems that
-    share an H name the same block.  Row r runs on problem problem[r], an
-    integer in [0, P) (default: row p on problem p): n_prime[r] all-bit
-    steps (0 is SLAS), then the cyclic sequential phase, within
-    max_passes[r] passes.  n_prime and max_passes broadcast over the rows.
-    Rows of one problem whose all-bit steps flip nothing (SLAS rows, and
-    the WSLAS rows of most harness calls) walk one shared sequential
-    phase.  Each row's result, its steps, passes and additions included,
-    is exactly that of its own one-row run (las_run), whatever the other
-    rows are and their order.
+    whose block block[p] is problem p's H (None: block p, one problem per
+    block); problems that share an H name the same block.  Row r runs on
+    problem problem[r], an integer in [0, P) (default: row p on problem p):
+    n_prime[r] all-bit steps (0 is SLAS), then the cyclic sequential phase,
+    within max_passes[r] passes.  n_prime and max_passes broadcast over
+    the rows.  Rows of one problem whose all-bit steps flip nothing (SLAS
+    rows, and the WSLAS rows of most harness calls) walk one shared
+    sequential phase.  Each row's result, its steps, passes and additions
+    included, is exactly that of its own one-row run (las_run), whatever
+    the other rows are and their order.
     """
     st = _Lockstep(y, xcorr, amplitudes, b0, problem, block, n_prime,
                    max_passes)

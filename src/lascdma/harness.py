@@ -17,7 +17,6 @@ bit-identical for a fixed seed under any worker count.
 import ctypes
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -295,13 +294,13 @@ def _build(ctx, items):
     """Draw the transmissions items = [(set index, trial index), ...], each
     from its own trial substream in the order a lone trial draws, and build
     them as one stack.  Returns (sent bits, matched-filter outputs, stacked
-    CrossCorr, H block of each transmission or None for block t)."""
+    CrossCorr, H block of each transmission)."""
     rngs = [_trial_rng(ctx, s, t) for s, t in items]
     S = None if ctx.sets else gen_sparse_matrix(ctx.C, ctx.M, ctx.L, rngs)
     b = np.stack([g.integers(0, 2, ctx.M, dtype=np.int8) for g in rngs]) * 2 - 1
     if S is not None:
         y = matched_filter(S, transmit(S, ctx.params, b, rngs))
-        return b, y, crosscorrelation(S, ctx.amplitudes), None
+        return b, y, crosscorrelation(S, ctx.amplitudes), np.arange(len(b))
     block = np.array([s for s, _ in items])
     y = np.stack([
         matched_filter(ctx.sets[s], transmit(ctx.sets[s], ctx.params, bt, g))
@@ -342,7 +341,7 @@ def _detect(ctx, b, y, xc, block):
         else:  # GML comes last: the LAS decisions are audited against it
             audited = [ctx.detectors.index(a) for a in las]
             for t in range(T):
-                xc_t = xc.block(t if block is None else block[t])
+                xc_t = xc.block(block[t])
                 gml = gml_exhaustive(y[t], xc_t, ctx.amplitudes)[0]
                 decided[t, d] = gml
                 om_gml = likelihood(gml, y[t], xc_t, ctx.amplitudes)
@@ -437,13 +436,11 @@ def _resolve_sets(config):
         return 1, None, None
     n_sets = int(policy)
     # one stack, each set's H written into its block.  The sets are drawn
-    # and correlated once per point, here in the main process, and drawn on
-    # a thread per usable core whatever --workers is; per-transmission
-    # matrices are built in _build on the calling thread
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
+    # and correlated once per point, here in the main process; their PCG64
+    # streams are drawn on a thread per usable core whatever --workers is,
+    # while per-transmission matrices, from Philox streams, take one
     S = gen_sparse_matrix(C, M, L, [_set_matrix_rng(config.seed, M, C, L, s)
-                                    for s in range(n_sets)], threads=cores)
+                                    for s in range(n_sets)])
     sets = [SequenceMatrix(C, M, c, g) for c, g in zip(S.chips, S.signs)]
     return n_sets, sets, crosscorrelation(S, np.ones(M))
 

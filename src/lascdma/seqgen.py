@@ -5,10 +5,10 @@ exactly L nonzero chips at distinct random positions, and every nonzero is
 +1/sqrt(L) or -1/sqrt(L) with equal probability.  L == C is the dense
 special case (ordinary random spreading).  A column's chips are its L
 smallest of C uniforms.  A stack of B matrices, each drawn from its own
-Generator (on up to `threads` threads, which the harness asks for only
-for its fixed sets), has (B, M, L) chips and signs and is checked,
-correlated and transmitted through as one unit; its crosscorrelation is
-one block-stacked CrossCorr.
+Generator (on a thread per usable core when they are distinct PCG64
+Generators, as the harness's fixed sets are), has (B, M, L) chips and
+signs and is checked, correlated and transmitted through as one unit; its
+crosscorrelation is one block-stacked CrossCorr.
 
 Crosscorrelations sum each column pair's sign products as integers and
 divide by L once, so every value of S^T S is the correctly rounded n/L of
@@ -27,6 +27,7 @@ implementation stores and touches that entry regardless of its value.
 """
 
 import copy
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,6 +192,8 @@ class CrossCorr:
     def block(self, b):
         """Block b of the stack as a CrossCorr of its own (views)."""
         M = self.n_bits
+        if not 0 <= b < self.n_blocks:
+            raise ValueError(f"block must be an integer in [0, {self.n_blocks})")
         lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
         return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
                          self.indices[lo:hi], self.h_data[lo:hi],
@@ -199,34 +202,23 @@ class CrossCorr:
     def h_matvec(self, x, block=None):
         """H @ x through the raw row lists.  On a stack, x holds one vector
         per problem, (P, M), and problem p is multiplied by block block[p]
-        (default: block p, in one pass).  Each row's products x_j H_kj are
-        summed by np.add.reduceat over its row segment.  A full block takes
-        them as a broadcast of x against its (M, M) values; a sparse one,
-        given block=, as the rows of x^T gathered at its column indices (a
-        row per entry, a column per problem), summed along axis 0.  Given
-        block=, all of a block's problems go through each chunk of its rows
-        together, so each chunk is read once.  The products (IEEE
-        multiplication commutes) and segments are the per-entry gather's,
-        and every row sums as its block alone does, so neither the
-        full-block form, the chunks nor the stacking moves a bit."""
-        M = self.n_bits
+        (default: block p).  Each chunk of a block's rows is read once for
+        all of its problems.  A row's products x_j H_kj, a broadcast of x
+        against a full block's (M, M) values or, for a sparse block, the
+        rows of x^T gathered at its column indices (a row per entry, a
+        column per problem), are summed by np.add.reduceat over its row
+        segment.  The products (IEEE multiplication commutes) and segments
+        are the per-entry gather's, and every row sums as its block alone
+        does, so neither the full-block form, the chunks nor the stacking
+        moves a bit."""
+        M, B = self.n_bits, self.n_blocks
         X = np.asarray(x, dtype=np.float64).reshape(-1, M)
-        if len(X) != (self.n_blocks if block is None else len(block)):
+        block = np.arange(B) if block is None else np.asarray(block)
+        if len(X) != len(block):
             raise ValueError("need one vector per block or problem")
-        sizes, full = np.diff(self.indptr[::M]), self.full_blocks
-        if block is None:
-            if full.all():
-                v = X[:, None, :] * self.h_data.reshape(-1, M, M)
-            else:
-                at = self.indices
-                if len(X) > 1:  # block b's columns are at b*M of X.ravel()
-                    at = np.repeat(np.arange(0, X.size, M), sizes)
-                    at += self.indices
-                v = X.ravel()[at]
-                v *= self.h_data
-            return np.add.reduceat(v.reshape(-1), self.indptr[:-1]).reshape(
-                np.shape(x))
-        out, block = np.empty_like(X), np.asarray(block)
+        if np.any((block < 0) | (block >= B)):
+            raise ValueError(f"block must hold integers in [0, {B})")
+        out, full = np.empty_like(X), self.full_blocks
         for b in np.flatnonzero(np.bincount(block)):  # the blocks in use
             xc, ps = self.block(b), np.flatnonzero(block == b)
             if full[b]:  # each chunk of H rows is read once for them all
@@ -305,7 +297,7 @@ def _smallest(u, L, out):
     out[rest] = np.argpartition(u[rest], L, 1)[:, :L]
 
 
-def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
+def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
     """Draw a random spreading matrix: M columns, L distinct uniform chip
     positions each, independent equiprobable signs.
 
@@ -314,17 +306,15 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
     b from rng[b], exactly as alone.  Duplicate columns are allowed (the
     random model does not exclude them).  A buffer of uniforms may span
     matrices, each part from its own Generator, and is selected at once.
-    With threads > 1, a stack of distinct PCG64 Generators is drawn on up to
-    min(threads, B) threads, each taking an even share of the stack's rows
-    through a buffer of its own; the output is the same.
+    A stack of distinct PCG64 Generators is drawn on a thread per usable
+    core, up to B, each taking an even share of the stack's rows through a
+    buffer of its own; the output is the same.
     """
     C, M, L = n_chips, n_bits, n_nonzero
     if not 1 <= L <= C:
         raise ValueError(f"need 1 <= L <= C, got L={L}, C={C}")
     if M < 1:
         raise ValueError("need at least one column")
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got threads={threads}")
     single = not isinstance(rng, (list, tuple))
     rngs = [rng] if single else rng
     if not rngs:
@@ -351,14 +341,16 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng, threads=1):
                             g.bit_generator.advance((a - b * M) * C)
                     g.random(out=u[a - r:s - r])
                 _smallest(u[:e - r], L, flat[r:e])
-        # the fill and most selection steps release the GIL.  Threads split
-        # the rows evenly, given distinct Generators whose advance steps one
-        # double and that hold no buffered 32-bit word (Philox advances by 4
-        # words); others are drawn in order, on one thread
+        # the fill and most selection steps release the GIL.  A thread per
+        # usable core splits the rows evenly, given distinct Generators whose
+        # advance steps one double and that hold no buffered 32-bit word
+        # (Philox advances by 4 words); others are drawn in order, on one
         split = len({id(g) for g in rngs}) == len(rngs) and all(
             isinstance(g.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
             and not g.bit_generator.state["has_uint32"] for g in rngs)
-        n = min(len(rngs), threads) if split else 1
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        n = min(len(rngs), cores) if split else 1
         if n == 1:
             draw(0, len(flat))
         else:  # imported here: at module level it would slow every start-up

@@ -1,4 +1,6 @@
-"""Shared builders for detector-level tests."""
+"""Shared builders for detector-level tests, and a usable-core patch."""
+
+import os
 
 import numpy as np
 
@@ -25,3 +27,11 @@ def orthogonal_matrix(M, L, rng):
              + L * np.arange(M, dtype=np.int32)[:, None])
     signs = (rng.integers(0, 2, size=(M, L), dtype=np.int8) * 2 - 1).astype(np.int8)
     return SequenceMatrix(C, M, chips, signs)
+
+
+def usable_cores(monkeypatch, n):
+    """Make the process see n usable cores, as gen_sparse_matrix counts."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: n)

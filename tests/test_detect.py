@@ -645,13 +645,22 @@ def test_h_matvec_equals_the_per_entry_gather_bit_for_bit(unequal):
     X = rng.standard_normal((7, M))
     block = np.array([2, 0, 1, 0, 2, 1, 2])  # repeated and out of order
     for xc in (mixed, dense):
-        assert np.array_equal(xc.h_matvec(X[:3]),  # one pass
+        assert np.array_equal(xc.h_matvec(X[:3]),
                               _per_entry_matvec(xc, X[:3], range(3)))
         assert np.array_equal(xc.h_matvec(X, block),
                               _per_entry_matvec(xc, X, block))
         for b in range(3):  # one block alone, one vector
             assert np.array_equal(xc.block(b).h_matvec(X[b]),
                                   _per_entry_matvec(xc, X[b:b + 1], [b])[0])
+    # a per-transmission group under the default block map: 50 blocks of
+    # one problem each at M = 64, C = 80, sparse and dense
+    A = rng.uniform(0.5, 2.0, 64) if unequal else np.ones(64)
+    X = rng.standard_normal((50, 64))
+    for L in (4, 16, 80):
+        xc = crosscorrelation(gen_sparse_matrix(80, 64, L, [
+            np.random.default_rng([8, t]) for t in range(50)]), A)
+        assert np.array_equal(xc.h_matvec(X),
+                              _per_entry_matvec(xc, X, range(50)))
 
 
 @pytest.mark.parametrize("buffer", [1, 1100])
@@ -683,6 +692,16 @@ def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     assert np.array_equal(xc.abs_row_sums, np.concatenate([
         np.add.reduceat(np.abs(h.h_data), h.indptr[:-1])
         for h in map(xc.block, range(3))]))
+
+
+def test_block_indices_are_checked_where_they_are_read():
+    _, xc = _stacked_h(4, 50, 40, 3, np.ones(40))
+    X = np.ones((2, 40))
+    for b in (-1, 3):
+        with pytest.raises(ValueError, match=r"integer in \[0, 3\)"):
+            xc.block(b)
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            xc.h_matvec(X, [0, b])
 
 
 def _explicit_h(chips, n_chips):

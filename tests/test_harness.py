@@ -2,7 +2,6 @@ import concurrent.futures
 import hashlib
 import io
 import math
-import os
 
 import mpmath
 import numpy as np
@@ -21,6 +20,8 @@ from lascdma.harness import (
     write_csv,
     CSV_HEADER,
 )
+
+import helpers
 
 mpmath.mp.dps = 40
 
@@ -411,7 +412,8 @@ def test_group_build_equals_per_trial_build(M, L):
         trial_keys=(harness._trial_key(3, M, C, L, 6.0, 0),))
     items = [(0, t) for t in range(5)]
     b, y, xc, block = harness._build(ctx, items)
-    assert block is None and xc.n_blocks == len(items)
+    assert np.array_equal(block, np.arange(len(items)))
+    assert xc.n_blocks == len(items)
     for t, item in enumerate(items):
         rng = harness._trial_rng(ctx, *item)
         S = harness.gen_sparse_matrix(C, M, L, rng)
@@ -435,10 +437,7 @@ def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):
             pools.append(n)
             super().__init__(n)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    helpers.usable_cores(monkeypatch, 8)
     M, C, L = 256, 320, 4
     assert M * C > seqgen._UNIFORM_BUFFER
     harness._resolve_sets(ExperimentConfig(M=M, alpha=0.8, L=L, seed=1,

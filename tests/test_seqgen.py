@@ -16,6 +16,7 @@ from lascdma.seqgen import (
     gen_sparse_matrix,
 )
 
+import helpers
 import oracles
 
 
@@ -63,13 +64,6 @@ def test_generator_errors():
         gen_sparse_matrix(4, 1, 2, [])
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_generator_needs_a_thread(threads):
-    gens = [rng_for(s) for s in range(3)]
-    with pytest.raises(ValueError, match="at least one thread"):
-        gen_sparse_matrix(80, 64, 4, gens, threads=threads)
-
-
 def test_generator_deterministic_for_fixed_seed():
     a = gen_sparse_matrix(64, 32, 4, rng_for(7))
     b = gen_sparse_matrix(64, 32, 4, rng_for(7))
@@ -89,9 +83,9 @@ def whole_array_draw(C, M, L, g):
 @pytest.mark.parametrize("chunks", [0.5, 2, 2.5])
 def test_streamed_sampler_equals_whole_array_draw(chunks, L, monkeypatch):
     # M under one buffer chunk, a whole number of chunks and a partial last
-    # chunk; L = 1 and L = C - 1.  A stack of five sets asked for on 8
-    # threads is drawn on five (switching often), each set as drawn alone;
-    # one thread per call, as by default, makes no pool.
+    # chunk; L = 1 and L = C - 1.  A stack of five sets on 8 usable cores
+    # is drawn on five threads (switching often), each set as drawn alone;
+    # one usable core makes no pool.
     pools = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
@@ -101,16 +95,17 @@ def test_streamed_sampler_equals_whole_array_draw(chunks, L, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     C, seeds = 4096, range(3, 8)
     M = int(chunks * (seqgen._UNIFORM_BUFFER // C))
+    helpers.usable_cores(monkeypatch, 1)
     got = gen_sparse_matrix(C, M, L, rng_for(11))
     chips, signs = whole_array_draw(C, M, L, rng_for(11))
     assert np.array_equal(got.chips, chips) and np.array_equal(got.signs, signs)
     alone = gen_sparse_matrix(C, M, L, [rng_for(s) for s in seeds])
     assert pools == []
+    helpers.usable_cores(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stack = gen_sparse_matrix(C, M, L, [rng_for(s) for s in seeds],
-                                  threads=8)
+        stack = gen_sparse_matrix(C, M, L, [rng_for(s) for s in seeds])
     finally:
         sys.setswitchinterval(interval)
     assert pools == [5]
@@ -128,9 +123,10 @@ def test_shared_generator_is_drawn_in_order(monkeypatch):
     pools = []
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda n: pools.append(n))
+    helpers.usable_cores(monkeypatch, 4)
     C, M, L = 2048, 96, 8
     g = rng_for(5)
-    stack = gen_sparse_matrix(C, M, L, [g] * 3, threads=4)
+    stack = gen_sparse_matrix(C, M, L, [g] * 3)
     ref = rng_for(5)
     u = [ref.random((M, C)) for _ in range(3)]
     signs = [ref.integers(0, 2, size=(M, L), dtype=np.int8) * 2 - 1
@@ -155,6 +151,7 @@ def test_threads_split_the_stack_rows_evenly(monkeypatch):
             parts.append(list(zip(*args[:2])))
             return super().map(fn, *args)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    helpers.usable_cores(monkeypatch, 2)
     C, M, L = 300, 91, 7
     buffered = rng_for(9)
     buffered.integers(0, 2 ** 32, dtype=np.uint32)
@@ -164,7 +161,7 @@ def test_threads_split_the_stack_rows_evenly(monkeypatch):
     for gens, split in zip(cases, ([(0, 136), (136, 273)], None, None)):
         refs = [copy.deepcopy(g) for g in gens]
         parts.clear()
-        stack = gen_sparse_matrix(C, M, L, gens, threads=2)
+        stack = gen_sparse_matrix(C, M, L, gens)
         assert parts == ([split] if split else [])
         for b, (g, ref) in enumerate(zip(gens, refs)):
             chips, signs = whole_array_draw(C, M, L, ref)
