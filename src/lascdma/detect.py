@@ -36,7 +36,9 @@ one-row case for every schedule, with the debug switches.  Rows that
 start the sequential phase from the same state (one problem's start, no
 all-bit step having flipped) share one sequential run, and each still
 reports its own counters.  A row's result does not depend on the other
-rows of its batch.
+rows of its batch.  The sequential phase keeps no violator bookkeeping: it
+finds each row's next violator by testing the next _WINDOW bits from the
+row's cursor, for all rows at once.
 
 Bit vectors are int8 arrays over {-1,+1}.  Detector runs are single-threaded
 over immutable (y, H, A); many runs may share one crosscorrelation.
@@ -117,7 +119,7 @@ def initial_gradient(bits, y, xcorr, amplitudes):
     return ay - xcorr.h_matvec(b)
 
 
-_BLOCK = 32  # bits per violator-count block of the sequential phase
+_WINDOW = 64  # bits the sequential phase tests per row and iteration
 
 
 @dataclass
@@ -141,9 +143,10 @@ class _Lockstep:
     n_prime[r] all-bit steps and a budget of max_passes[r] passes; rows of
     one problem share its initial gradient.  Rows stay in the caller's
     order, and any row order is exact.  Bits, gradients and negated H
-    diagonals are (K, Mp) arrays, Mp being M rounded up to whole blocks of
-    _BLOCK bits; the padding never violates.  The debug switches of las_run
-    act per flip event; only las_run sets them, with K = 1.
+    diagonals are (K, Mp) arrays, Mp = M + _WINDOW, so that a window
+    starting at any bit fits; the padding's bits are 0, and it never
+    violates.  The debug switches of las_run act per flip event; only
+    las_run sets them, with K = 1.
     """
 
     def __init__(self, y, xcorr, amplitudes, b0, problem, hblock, n_prime,
@@ -172,8 +175,7 @@ class _Lockstep:
             raise ValueError("n_prime must be in [0, 2**63)")
         self.n_prime = np.broadcast_to(n_prime.astype(np.int64), (K,))
         self.max_passes = np.broadcast_to(max_passes.astype(np.int64), (K,))
-        self.nb = -(-M // _BLOCK)
-        self.Mp = Mp = self.nb * _BLOCK
+        self.Mp = Mp = M + _WINDOW
         self.y, self.A, self.xc = y, A, xcorr
         g0 = A * y - xcorr.h_matvec(b0, hblock)
         self.blk = blk = hblock[problem]
@@ -187,11 +189,10 @@ class _Lockstep:
         self.B[:, :M] = b0[problem]
         self.G[:, :M] = g0[problem]
         self.NT[:, :M] = -xcorr.diag.reshape(-1, M)[blk]
-        self.V = np.zeros((K, Mp), dtype=bool)  # b_k g_k < -H_kk
-        self.V3 = self.V.reshape(K, self.nb, _BLOCK)
-        self.cnt = np.zeros((K, self.nb), dtype=np.int64)  # violators per block
-        self.lanes = np.arange(_BLOCK)
-        self.block_ids = np.arange(self.nb)
+        # [row, k] is bits k to k + _WINDOW - 1 of the row
+        self.Bw, self.Gw, self.NTw = (
+            np.lib.stride_tricks.sliding_window_view(a, _WINDOW, axis=1)
+            for a in (self.B, self.G, self.NT))
         self.steps, self.flips, self.additions, self.passes = np.zeros(
             (4, K), dtype=np.int64)
         self.check_gradient = check_gradient
@@ -221,61 +222,25 @@ class _Lockstep:
         at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return self.xc.indices[at], self.xc.h_data[at], n
 
-    def _mark_violators(self, rows, G=None):
-        """Violators and block counts of rows (G: their gradients, if held)."""
-        v = self.B[rows] * (self.G[rows] if G is None else G) < self.NT[rows]
-        self.V[rows] = v
-        self.cnt[rows] = v.reshape(-1, self.nb, _BLOCK).sum(axis=2)
-
-    def _next_violator(self, rows, pos):
-        """Each row's first violating bit at or cyclically after its cursor,
-        and whether it has one."""
-        w = pos // _BLOCK
-        seg = self.V3[rows, w] & (self.lanes >= (pos % _BLOCK)[:, None])
-        found = seg.any(axis=1)
-        k = w * _BLOCK + seg.argmax(axis=1)
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            rm = rows[miss]
-            # blocks after the cursor's first, the cursor's own block last
-            key = (self.block_ids - w[miss, None] - 1) % self.nb
-            key[self.cnt[rm] == 0] = self.nb
-            blk = key.argmin(axis=1)
-            found[miss] = key[np.arange(miss.size), blk] < self.nb
-            k[miss] = blk * _BLOCK + self.V3[rm, blk].argmax(axis=1)
-        return k, found
-
     def _flip_each(self, rows, ks):
         """Flip bit ks[i] of row rows[i]; rows are distinct."""
         c = 2.0 * self.B[rows, ks]  # pre-flip values drive the update
         self.B[rows, ks] = -self.B[rows, ks]
         self.flips[rows] += 1
         full = self.full[rows]
-        if full.any():
-            # full H rows are contiguous: update whole rows, and take
-            # their violators and counts from the new gradients
-            fr, fk, fc = rows[full], ks[full], c[full]
-            g = self.G[fr]
-            g[:, :self.M] += fc[:, None] * self.windows[
+        if full.any():  # full H rows are contiguous: update whole rows
+            fr, fk = rows[full], ks[full]
+            self.G[fr, :self.M] += c[full, None] * self.windows[
                 self.xc.indptr[self.blk[fr] * self.M + fk]]
-            self.G[fr] = g
             self.additions[fr] += self.M
-            self._mark_violators(fr, g)
         if not full.all():
-            sr, sk, sc = rows[~full], ks[~full], c[~full]
+            sr, sk = rows[~full], ks[~full]
             cols, vals, lens = self._columns(sr, sk)
             self.additions[sr] += lens
             at = np.repeat(sr * self.Mp, lens) + cols  # flat (row, column)
-            Gf = self.G.reshape(-1)
-            g = Gf[at] + np.repeat(sc, lens) * vals
-            Gf[at] = g
-            now = self.B.reshape(-1)[at] * g < self.NT.reshape(-1)[at]
-            Vf = self.V.reshape(-1)
-            ch = np.flatnonzero(now != Vf[at])
-            if ch.size:
-                Vf[at[ch]] = now[ch]
-                np.add.at(self.cnt.reshape(-1), at[ch] // _BLOCK,
-                          np.where(now[ch], 1, -1))
+            # distinct rows repeat no (row, column); np.add.at measured
+            # faster here than a gather, add and scatter
+            np.add.at(self.G.reshape(-1), at, np.repeat(c[~full], lens) * vals)
         if self.hooked:
             for r, k in zip(rows.tolist(), ks.tolist()):
                 self._after_flips(r, (k,))
@@ -309,8 +274,10 @@ class _Lockstep:
 
         Bits between a row's cursor and its next violator cannot flip: their
         gradient entries are unchanged since they were last examined.  So
-        every row jumps straight to its next violator, found through its
-        per-block violator counts, and is charged the skipped steps."""
+        each iteration tests the next _WINDOW bits of every row, b_k g_k <
+        -H_kk, flips the first violator and charges the clean bits before
+        it; a row whose clean bits since its last flip reach M has made a
+        clean cycle."""
         M = self.M
         converged = np.zeros(rows.size, dtype=bool)
         live = np.flatnonzero(cycles > 0)
@@ -319,24 +286,34 @@ class _Lockstep:
             return converged
         cap = cycles[live] * M
         base = self.steps[r]
-        used = np.zeros(r.size, dtype=np.int64)
-        pos = np.zeros(r.size, dtype=np.int64)
-        self._mark_violators(r)
+        # steps charged up to the last flip, the cursor past it, and the
+        # clean bits tested since
+        used, pos, gap = np.zeros((3, r.size), dtype=np.int64)
         act = np.arange(r.size)
         while act.size:
-            k, found = self._next_violator(r[act], pos[act])
-            # a flip costs the skipped steps plus its own; a verification
-            # costs a full cycle
-            need = np.where(found, (k - pos[act]) % M + 1, M)
+            ra, pa = r[act], pos[act]
+            hit = self.Bw[ra, pa] * self.Gw[ra, pa] < self.NTw[ra, pa]
+            found = hit.any(axis=1)
+            j = hit.argmax(axis=1)
+            # a window stops at bit M - 1; the next one starts at bit 0
+            step = np.where(found, j + 1, np.minimum(_WINDOW, M - pa))
+            ga = gap[act] + step
+            clean = ~found & (ga >= M)
+            settled = found | clean
+            # a flip costs the clean bits before it plus its own step, a
+            # clean cycle M steps; a row still scanning needs one step more
+            need = np.where(settled, np.minimum(ga, M), ga + 1)
             fits = used[act] + need <= cap[act]
-            used[act] = np.where(fits, used[act] + need, cap[act])
-            converged[live[act[fits & ~found]]] = True
-            go = fits & found
-            act, k = act[go], k[go]
-            if act.size:
-                self.steps[r[act]] = base[act] + used[act]
-                self._flip_each(r[act], k)
-                pos[act] = (k + 1) % M
+            used[act] = np.where(fits, used[act] + settled * need, cap[act])
+            converged[live[act[fits & clean]]] = True
+            flip = fits & found
+            if flip.any():
+                fa = act[flip]
+                self.steps[r[fa]] = base[fa] + used[fa]
+                self._flip_each(r[fa], pa[flip] + j[flip])
+            pos[act] = (pa + step) % M
+            gap[act] = np.where(found, 0, ga)
+            act = act[fits & ~clean]
         self.steps[r] = base + used
         self.passes[r] += -(-used // M)  # ceil
         return converged

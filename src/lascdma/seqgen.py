@@ -219,10 +219,15 @@ class CrossCorr:
         if np.any((block < 0) | (block >= B)):
             raise ValueError(f"block must hold integers in [0, {B})")
         out, full = np.empty_like(X), self.full_blocks
-        for b in np.flatnonzero(np.bincount(block)):  # the blocks in use
-            xc, ps = self.block(b), np.flatnonzero(block == b)
+        order = np.argsort(block, kind="stable")  # the problems by block
+        bs = block[order]
+        cut = (np.flatnonzero(bs[1:] != bs[:-1]) + 1).tolist()
+        for i, j in zip([0] + cut, cut + [bs.size]) if bs.size else ():
+            ps, b = order[i:j], bs[i]
+            ptr = self.indptr[b * M:(b + 1) * M + 1]  # stack offsets
             if full[b]:  # each chunk of H rows is read once for them all
-                h, Xb = xc.h_data.reshape(M, M), X[ps, None, :]
+                h = self.h_data[ptr[0]:ptr[-1]].reshape(M, M)
+                Xb = X[ps, None, :]
                 n = max(1, _MATVEC_BUFFER // (ps.size * M))
                 buf = np.empty(ps.size * min(n, M) * M)
                 for lo in range(0, M, n):
@@ -234,11 +239,10 @@ class CrossCorr:
                             ps.size, -1)
                 continue
             Xt = np.ascontiguousarray(X[ps].T)  # row j: x_j of each problem
-            for lo, hi, a, e in _row_chunks(xc.indptr,
-                                            _MATVEC_BUFFER // ps.size):
-                v = np.take(Xt, xc.indices[a:e], axis=0)
-                v *= xc.h_data[a:e, None]
-                out[ps, lo:hi] = np.add.reduceat(v, xc.indptr[lo:hi] - a, 0).T
+            for lo, hi, a, e in _row_chunks(ptr, _MATVEC_BUFFER // ps.size):
+                v = np.take(Xt, self.indices[a:e], axis=0)
+                v *= self.h_data[a:e, None]
+                out[ps, lo:hi] = np.add.reduceat(v, ptr[lo:hi] - a, 0).T
         return out.reshape(np.shape(x))
 
     def dense_h(self):

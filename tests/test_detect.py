@@ -401,6 +401,57 @@ def test_lockstep_rows_equal_the_naive_reference(seed):
             assert _row(runs, r) == _one_row(ref), (L, r)
 
 
+@pytest.mark.parametrize("M", [1, 63, 64, 65, 200])
+def test_window_scan_edges_equal_the_naive_reference(M):
+    # fewer bits than one window (M = 1, 63), exactly one (64), one and a
+    # bit (65), and rows that wrap across several windows (200); each
+    # (start, budget) row is a problem of its own, so runs its own scan
+    rng = np.random.default_rng(M)
+    S, xc, A, _, y = helpers.make_instance(rng, M, 0.8, min(4, M), 4.0)
+    budgets = [1, 2, 100]
+    b0 = np.array([s * mf_detect(y) for s in (1, -1) for _ in budgets])
+    max_passes = np.tile(budgets, 2)
+    P = len(b0)
+    runs = las_lockstep(np.tile(y, (P, 1)), xc, A, b0, 0, max_passes,
+                        block=np.zeros(P, dtype=int))
+    Hd, nnz = xc.dense_h(), oracles.column_overlap_counts(S)
+    for r in range(P):
+        ref = oracles.naive_sequential_las(y, Hd, A, b0[r],
+                                           max_passes=int(max_passes[r]),
+                                           col_nnz=nnz)
+        assert _row(runs, r) == _one_row(ref), r
+    assert not runs.converged[3] and runs.flips[3] > 0
+    if M == 200:
+        # the one-pass inverted row's budget ends inside the window that
+        # follows its last flip
+        one = slas_detect(y, xc, A, b0[3], max_passes=1, record_flips=True)
+        assert (M - one.flip_log[-1][0]) % detect._WINDOW != 0
+
+
+def test_lockstep_at_large_m_equals_its_las_runs():
+    # M = 4096, L = 16: a pass is 64 windows, and the next violator is
+    # often many windows on; two transmissions on one H, MF and inverted
+    # starts, SLAS and WSLAS rows, budgets of 1, 2 and 100 passes
+    rng = np.random.default_rng(20)
+    M, C = 4096, 5120
+    S = gen_sparse_matrix(C, M, 16, rng)
+    A = np.ones(M)
+    xc = crosscorrelation(S, A)
+    params = ChannelParams(A, snr_to_sigma(11.0))
+    b = rng.integers(0, 2, (2, M), dtype=np.int8) * 2 - 1
+    y = np.stack([matched_filter(S, transmit(S, params, bt, rng)) for bt in b])
+    ys, block = y[[0, 1, 0]], np.zeros(3, dtype=int)
+    b0 = mf_detect(ys) * np.array([1, 1, -1], dtype=np.int8)[:, None]
+    problem = np.array([0, 0, 1, 1, 2, 2])
+    n_prime = np.array([0, 10, 0, 0, 0, 0])
+    max_passes = np.array([100, 100, 100, 1, 100, 2])
+    runs = las_lockstep(ys, xc, A, b0, n_prime, max_passes, problem=problem,
+                        block=block)
+    assert runs.converged.tolist() == [True, True, True, False, True, False]
+    _assert_rows_are_their_las_runs(runs, ys, xc, A, b0, block, problem,
+                                    n_prime, max_passes)
+
+
 def test_lockstep_row_result_independent_of_its_group():
     (ys, xc, A, b0, n_prime, max_passes, problem, block,
      _) = _lockstep_batch(2)
