@@ -57,7 +57,7 @@ def transmit(S, params, bits, rng):
             S.dense_matrix.reshape(-1, C, M), x.reshape(-1, M))]).reshape(shape)
     else:
         r = np.bincount(
-            S.stacked_chips(),
+            S.stacked_chips,
             weights=(S.signs * (x * S.chip_amplitude)[..., None]).ravel(),
             minlength=S.n_blocks * C,
         ).reshape(shape)
@@ -79,7 +79,7 @@ def matched_filter(S, r):
         return np.stack([Sd.T @ rb for Sd, rb in zip(
             S.dense_matrix.reshape(-1, C, M),
             r.reshape(-1, C))]).reshape(S.chips.shape[:-1])
-    rc = r.ravel()[S.stacked_chips()].reshape(S.chips.shape)
+    rc = r.ravel()[S.stacked_chips].reshape(S.chips.shape)
     return (S.signs * rc).sum(axis=-1) * S.chip_amplitude
 
 

@@ -28,6 +28,14 @@ The bit-update schedules:
   hybrid      -- `parallel_steps` all-bit steps, then sequential to a
                  verified fixed point.  hybrid(0) == sequential.
 
+From the matched-filter start b = sign(y), hybrid is sequential one pass
+later: with A > 0, b_k g_k = A_k |y_k| - sum_j H_kj b_k b_j >= -t_k, so
+the first all-bit step flips nothing and ends the all-bit steps, and a
+WSLAS run is its SLAS run plus one pass when max_passes covers both.  In
+floats h_matvec sums a row as abs_row_sums does (or both exactly), and
+rounding is monotone.  Summed in two orders, a flip would need |y_k|
+within rounding of 0 and every H_kj b_k b_j >= 0.
+
 One implementation runs them all: a row-batched kernel that advances K
 runs in lockstep, each row on its own (y, H, start vector), every H a block
 of one stacked crosscorrelation.  las_lockstep runs SLAS/WSLAS

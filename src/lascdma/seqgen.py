@@ -21,6 +21,9 @@ and sums in int16, M^2 L entries per matrix and no BLAS (tiny
 multi-threaded products oversubscribe the worker processes); it runs when
 M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C every
 pair overlaps, and each block's values come from the dense product S^T S.
+Where A = 1, L is a power of two and 2L <= C, the CrossCorr keeps the
+stack, and CrossCorr.h_matvec takes +/-1 vectors through its chips: 2L
+entries per bit instead of a row's 4-200, with the same doubles.
 Entries whose sign products cancel to exactly 0.0 are kept in the
 sparse structure: the pair shares chip support, and a sparse detector
 implementation stores and touches that entry regardless of its value.
@@ -33,10 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-# gathered entries per chip-index pair: an entry cost 1.1-4.5 ns and a pair
-# 38-60 ns at L = 16 (M = 64..1024); below 50 the gather route was 0.8-5.1x
-# as fast, and 50 keeps M = 1024, L = 16 (75 per pair) on the chip-index route
-_GATHER_PER_PAIR = 50
+# gathered entries per chip-index pair: the routes crossed at 15-25, and from
+# 36 up the chip index took 0.2-0.75x the gather's time; 34 keeps three
+# M = 64, L = 1 matrices (33 per pair, 1.5x as fast) on the gather route
+_GATHER_PER_PAIR = 34
 # chip-index pairs listed and sorted at a time, about 1.6 MB of temporaries:
 # 2^16..2^18 took the same time, and 2^18 raised fixed-set peaks by 2-4 MB
 _PAIR_BUFFER = 1 << 16
@@ -52,6 +55,9 @@ _SELECT_Z, _SELECT_SHARE = 5, 0.25
 # 17-21 ms per block against 23-25 ms for one product per problem; chunks
 # of 2 MB gained less
 _MATVEC_BUFFER = 1 << 17
+# h_matvec's route rule in row entries (README, H products): a block in use
+# past the first costs the row route _BLOCK_ENTRIES, chip sums _CHIP_ENTRIES L
+_BLOCK_ENTRIES, _CHIP_ENTRIES = 4000, 4
 
 
 @dataclass
@@ -106,12 +112,15 @@ class SequenceMatrix:
     def chip_amplitude(self):
         return 1.0 / np.sqrt(self.n_nonzero)
 
+    @cached_property
     def stacked_chips(self):
-        """chips.ravel() numbered across the stack: block b's chip c is
-        b*C + c."""
+        """chips.ravel() numbered across the stack, int64 and read-only:
+        block b's chip c is b*C + c."""
         B = self.n_blocks
-        return (self.chips.reshape(B, -1)
+        flat = (self.chips.reshape(B, -1)
                 + np.arange(0, B * self.n_chips, self.n_chips)[:, None]).ravel()
+        flat.flags.writeable = False
+        return flat
 
     @cached_property
     def chip_index(self):
@@ -121,7 +130,7 @@ class SequenceMatrix:
         cols[indptr[c]:indptr[c+1]], with matching signs.  Chips and columns
         are numbered across the stack (block b's column k is b*M + k).
         """
-        flat = self.stacked_chips()  # a fresh int64 array
+        flat = self.stacked_chips.copy()  # sorted in place below
         counts = np.bincount(flat, minlength=self.n_blocks * self.n_chips)
         # chip << s | position is unique, so one sort gives the stable
         # argsort's order, in place.  Exact while B*C * 2^s <= 2^63, with
@@ -170,6 +179,7 @@ class CrossCorr:
     indices: np.ndarray
     h_data: np.ndarray
     diag: np.ndarray
+    seqs: SequenceMatrix = None  # the stack, kept where chip sums are exact
 
     @property
     def nnz(self):
@@ -195,22 +205,32 @@ class CrossCorr:
         if not 0 <= b < self.n_blocks:
             raise ValueError(f"block must be an integer in [0, {self.n_blocks})")
         lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
+        S = self.seqs
+        if S is not None:  # matrix b of the stack
+            S = SequenceMatrix(S.n_chips, M, *(a.reshape(-1, M, S.n_nonzero)[b]
+                                               for a in (S.chips, S.signs)))
         return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
                          self.indices[lo:hi], self.h_data[lo:hi],
-                         self.diag[b * M:(b + 1) * M])
+                         self.diag[b * M:(b + 1) * M], S)
 
     def h_matvec(self, x, block=None):
-        """H @ x through the raw row lists.  On a stack, x holds one vector
-        per problem, (P, M), and problem p is multiplied by block block[p]
-        (default: block p).  Each chunk of a block's rows is read once for
-        all of its problems.  A row's products x_j H_kj, a broadcast of x
-        against a full block's (M, M) values or, for a sparse block, the
-        rows of x^T gathered at its column indices (a row per entry, a
-        column per problem), are summed by np.add.reduceat over its row
-        segment.  The products (IEEE multiplication commutes) and segments
-        are the per-entry gather's, and every row sums as its block alone
-        does, so neither the full-block form, the chunks nor the stacking
-        moves a bit."""
+        """H @ x.  On a stack, x holds one vector per problem, (P, M), and
+        problem p is multiplied by block block[p] (default: block p).
+
+        Row route: each chunk of a block's rows is read once for all of its
+        problems, and a row's products x_j H_kj (x against a full block's
+        values, or x^T gathered at a sparse row's columns) are summed by
+        np.add.reduceat over its row segment, as the per-entry gather does.
+        Chip route, for +/-1 vectors where the CrossCorr keeps its stack
+        (A = 1, L = 2^e, 2L <= C): J = S_int^T (S_int x), by one weighted
+        bincount of the problems' signed bits into their chips (problem p's
+        at p*C + c) and a gather at the same chips, and H x = J / L.  Each
+        product +/-n/L and partial row sum is a multiple of 2^-e, so the row
+        route's sums are exact, as J is: the same doubles (+0.0 for a zero
+        sum on both, the diagonal term being +/-1).  It reads 2L entries per
+        bit, not a row's, and runs when the mean row length, plus
+        _BLOCK_ENTRIES per bit for each block in use past the first, exceeds
+        _CHIP_ENTRIES * L."""
         M, B = self.n_bits, self.n_blocks
         X = np.asarray(x, dtype=np.float64).reshape(-1, M)
         block = np.arange(B) if block is None else np.asarray(block)
@@ -222,6 +242,23 @@ class CrossCorr:
         order = np.argsort(block, kind="stable")  # the problems by block
         bs = block[order]
         cut = (np.flatnonzero(bs[1:] != bs[:-1]) + 1).tolist()
+        S = self.seqs
+        if S is not None and X.size and (  # the chip route, where cheaper
+                self.nnz / (B * M) + _BLOCK_ENTRIES * len(cut) / X.size
+                > _CHIP_ENTRIES * S.n_nonzero) and np.all(np.abs(X) == 1):
+            C, L = S.n_chips, S.n_nonzero
+            chips, signs = (a.reshape(B, M, L) for a in (S.chips, S.signs))
+            n = max(1, _MATVEC_BUFFER // (M * L))
+            for lo in range(0, len(X), n):  # problem p's chips at p*C + c
+                ps, s = block[lo:lo + n], signs[block[lo:lo + n]]
+                key = chips[ps] + np.arange(0, ps.size * C, C)[:, None, None]
+                sums = np.bincount(key.ravel(), minlength=ps.size * C,
+                                   weights=(s * X[lo:lo + n, :, None]).ravel())
+                v = sums[key]
+                v *= s
+                np.divide(v.sum(-1), L, out=out[lo:lo + n])
+                del key, v  # before the next chunk's
+            return out.reshape(np.shape(x))
         for i, j in zip([0] + cut, cut + [bs.size]) if bs.size else ():
             ps, b = order[i:j], bs[i]
             ptr = self.indptr[b * M:(b + 1) * M + 1]  # stack offsets
@@ -403,7 +440,7 @@ def crosscorrelation(S, amplitudes):
         indptr = np.arange(B * M + 1, dtype=np.int64) * M
         indices = np.tile(np.arange(M, dtype=np.int32), B * M)
     else:
-        occ = np.bincount(S.stacked_chips(), minlength=B * C).reshape(B, C)
+        occ = np.bincount(S.stacked_chips, minlength=B * C).reshape(B, C)
         pairs = (occ * occ).sum(axis=1)
         if M * M * L < _GATHER_PER_PAIR * pairs.mean():
             indptr, indices, r_data = _gather_route(S)
@@ -412,8 +449,11 @@ def crosscorrelation(S, amplitudes):
         r_diag = np.ones(B * M)  # n = L on the diagonal
 
     if np.all(A == 1.0):
-        # equal power: identical; immutable by convention
-        return CrossCorr(M, indptr, indices, r_data, r_diag)
+        # equal power: identical; immutable by convention.  A fresh stack
+        # (no caches of S) is kept where J / L is exact: see h_matvec
+        exact = 2 * L <= C and L & (L - 1) == 0
+        return CrossCorr(M, indptr, indices, r_data, r_diag, SequenceMatrix(
+            C, M, S.chips, S.signs) if exact else None)
     rows_of = np.repeat(np.tile(np.arange(M), B), np.diff(indptr))
     At = np.tile(A, B)
     return CrossCorr(M, indptr, indices, r_data * A[rows_of] * A[indices],
@@ -425,7 +465,7 @@ def _gather_route(S):
     C x M sign matrix, gathered at column j's chips and summed with its
     signs, is column j's integer sign sum with every column."""
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
-    chips = S.stacked_chips().reshape(B, M, L)
+    chips = S.stacked_chips.reshape(B, M, L)
     signs = S.signs.reshape(B, M, L)
     Si = np.zeros((B * C, M), dtype=np.int8)  # the blocks' sign matrices
     Si[chips, np.arange(M)[:, None]] = signs
@@ -448,7 +488,7 @@ def _chip_index_route(S, occ, pairs):
     sized by the pair counts and then shrunk."""
     B, M, L = S.n_blocks, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
-    chips, signs, occ = S.stacked_chips(), S.signs.ravel(), occ.ravel()
+    chips, signs, occ = S.stacked_chips, S.signs.ravel(), occ.ravel()
     rptr = np.concatenate(([0], np.cumsum(occ[chips].reshape(-1, L).sum(1))))
     cap = int(np.minimum(pairs, M * M).sum())
     indptr = np.zeros(B * M + 1, dtype=np.int64)

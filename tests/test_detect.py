@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +288,30 @@ def test_restart_from_fixed_point_changes_nothing():
         assert again.flips == 0
         assert again.steps == 16
         assert np.array_equal(again.bits, run.bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, 64), L=st.one_of(st.integers(1, 16), st.none()),
+       load=st.floats(0.25, 2.0), snr_db=st.one_of(st.floats(0.0, 30.0),
+                                                   st.just(np.inf)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_first_all_bit_step_from_the_mf_start_flips_nothing(M, L, load, snr_db,
+                                                            seed, data):
+    # b_k g_k = A_k |y_k| - sum_j H_kj b_k b_j >= -sum_j |H_kj| at b = sign(y),
+    # and an all-bit step flips only below that.  L None is dense spreading
+    C = max(L or 1, round(M / load))
+    A = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=M,
+                                    max_size=M)))
+    rng = np.random.default_rng(seed)
+    S = gen_sparse_matrix(C, M, L or C, rng)
+    xc = crosscorrelation(S, A)
+    b = rng.integers(0, 2, M, dtype=np.int8) * 2 - 1
+    y = matched_filter(S, transmit(S, ChannelParams(A, snr_to_sigma(snr_db)),
+                                   b, rng))
+    b0 = mf_detect(y)
+    g = initial_gradient(b0, y, xc, A)
+    assert not np.any(b0 * g < -xc.abs_row_sums)
+    assert las_run(y, xc, A, Schedule.parallel(), b0, max_passes=1).flips == 0
 
 
 def test_wslas_zero_parallel_steps_equals_slas():
@@ -743,6 +769,83 @@ def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     assert np.array_equal(xc.abs_row_sums, np.concatenate([
         np.add.reduceat(np.abs(h.h_data), h.indptr[:-1])
         for h in map(xc.block, range(3))]))
+
+
+def _both_routes(xc, X, block, monkeypatch):
+    """h_matvec(X, block) with the route rule forced to the row route and
+    to the chip route; the latter also on a copy of xc whose H values are
+    zeroed, which only the chip route, reading no H value, gets right."""
+    zeroed = dataclasses.replace(xc, h_data=np.zeros_like(xc.h_data))
+    with monkeypatch.context() as m:
+        m.setattr(seqgen, "_CHIP_ENTRIES", np.inf)
+        rows = xc.h_matvec(X, block)
+        m.setattr(seqgen, "_CHIP_ENTRIES", 0)
+        return rows, xc.h_matvec(X, block), zeroed.h_matvec(X, block)
+
+
+def _assert_same_doubles(a, *others):
+    for b in others:  # equal values and signs of zero
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
+def test_chip_route_equals_the_row_route_bit_for_bit(L, monkeypatch):
+    # +/-1 vectors on exact stacks (power-of-two L, 2L <= C, A = 1): J / L
+    # from the chip sums is the row route's double, for fixed stacks under
+    # unsorted, repeated and empty block maps, a per-transmission stack, and
+    # one vector on a block alone
+    M, C = 40, 80
+    rng = np.random.default_rng(L)
+    _, xc = _stacked_h(7, C, M, L, np.ones(M))
+    per_tx = crosscorrelation(gen_sparse_matrix(C, M, L, [
+        np.random.default_rng([9, t]) for t in range(20)]), np.ones(M))
+    assert xc.seqs is not None and per_tx.seqs is not None
+    X = rng.integers(0, 2, (20, M)).astype(np.int8) * 2 - 1
+    for h, block in ((xc, [2, 0, 1, 0, 2, 1, 2]), (xc, [1, 1, 1]),
+                     (per_tx, range(20))):
+        rows, chips, zeroed = _both_routes(h, X[:len(block)], block,
+                                           monkeypatch)
+        ref = _per_entry_matvec(h, X[:len(block)], block)
+        _assert_same_doubles(ref, rows, chips, zeroed)
+    for out in _both_routes(xc, X[:0], [], monkeypatch):
+        assert out.shape == (0, M)
+    for b in range(3):
+        alone = xc.block(b)
+        assert alone.seqs.n_blocks == 1
+        _assert_same_doubles(_per_entry_matvec(xc, X[b:b + 1], [b])[0],
+                             *_both_routes(alone, X[b], None, monkeypatch))
+
+
+def test_chip_route_sums_to_positive_zero(monkeypatch):
+    # two equal columns sending opposite bits: every row sums to zero, +0.0
+    # on the row route (its diagonal term is +/-1), and so on the chip route
+    xc = _explicit_h([[[0, 1], [0, 1], [2, 3]]], 4)
+    X = np.array([[1, -1, -1], [-1, 1, 1]])
+    rows, chips, zeroed = _both_routes(xc, X, [0, 0], monkeypatch)
+    assert np.array_equal(rows[:, :2], np.zeros((2, 2)))
+    _assert_same_doubles(rows, chips, zeroed)
+
+
+@pytest.mark.parametrize("C, L, unequal, normal", [
+    (80, 3, False, False), (80, 12, False, False), (50, 32, False, False),
+    (80, 4, True, False), (80, 16, False, True)])
+def test_inexact_products_keep_the_row_route(C, L, unequal, normal,
+                                             monkeypatch):
+    # L not a power of two, 2L > C, A != 1 and float vectors: the chip sums
+    # would not give the row route's doubles, so h_matvec keeps the row
+    # route even when the rule prefers chips
+    monkeypatch.setattr(seqgen, "_CHIP_ENTRIES", 0)
+    M = 40
+    rng = np.random.default_rng(C + L)
+    A = rng.uniform(0.5, 2.0, M) if unequal else np.ones(M)
+    _, xc = _stacked_h(8, C, M, L, A)
+    assert (xc.seqs is not None) == normal  # only floats on an exact stack
+    X = (rng.standard_normal((7, M)) if normal
+         else rng.integers(0, 2, (7, M)) * 2 - 1)
+    block = [2, 0, 1, 0, 2, 1, 2]
+    assert np.array_equal(xc.h_matvec(X, block),
+                          _per_entry_matvec(xc, X, block))
 
 
 def test_block_indices_are_checked_where_they_are_read():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import io
 import math
@@ -305,6 +306,23 @@ def test_multi_snr_config_produces_point_per_snr():
     cfg = small_config(snr_db=(2.0, 6.0))
     rows = run_experiment(cfg)
     assert sorted({r.snr_db for r in rows}) == [2.0, 6.0]
+
+
+@pytest.mark.parametrize("seq_sets", [2, "per_tx"])
+def test_wslas_rows_are_slas_rows_one_pass_later(seq_sets):
+    # the first all-bit step from the MF start flips nothing (detect.py), so
+    # a WSLAS row is its SLAS row but for one more pass per run
+    cfg = small_config(M=64, alpha=1.0, snr_db=(0.0, 6.0), seq_sets=seq_sets,
+                       detectors=("SLAS", "WSLAS"), max_bits=64 * 300)
+    rows = run_experiment(cfg)
+    slas = [r for r in rows if r.detector == "SLAS"]
+    wslas = [r for r in rows if r.detector == "WSLAS"]
+    assert len(slas) == len(wslas) == (2 if seq_sets == "per_tx" else 6)
+    for s, w in zip(slas, wslas):
+        runs = s.bits // 64
+        assert round(w.passes_mean * runs) == round(s.passes_mean * runs) + runs
+        assert dataclasses.replace(w, detector="SLAS",
+                                   passes_mean=s.passes_mean) == s
 
 
 def test_seq_set_count_override():

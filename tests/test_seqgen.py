@@ -279,7 +279,7 @@ def test_chip_occupancy_variance_anchor():
     # ratio less 1 read -0.017 to +0.031, standard deviation 0.018
     C, M, L = 1280, 1024, 16
     S = _five_sets(L, 0)
-    occ = np.bincount(S.stacked_chips(), minlength=5 * C)
+    occ = np.bincount(S.stacked_chips, minlength=5 * C)
     expected = M * (L / C) * (1 - L / C)
     assert abs(occ.var() / expected - 1) < 0.075
 
@@ -352,7 +352,7 @@ def test_chip_index_route_holds_no_idle_slots():
     # entries: the CrossCorr owns exactly nnz of each, and no larger base
     S = gen_sparse_matrix(1280, 1024, 16, [rng_for(s) for s in (1, 2)])
     xc = crosscorrelation(S, 1.0)
-    occ = np.bincount(S.stacked_chips(), minlength=2 * 1280)
+    occ = np.bincount(S.stacked_chips, minlength=2 * 1280)
     assert (occ * occ).sum() > 1.05 * xc.nnz  # so there were idle slots
     for a in (xc.indices, xc.h_data):
         assert a.size == xc.nnz and a.base is None
@@ -377,10 +377,10 @@ def test_chip_index_route_in_pair_chunks(buffer, monkeypatch):
 
 def _transients(M, P=8):
     """tracemalloc peaks, less what stays held, of the chip-index route and
-    of a sparse h_matvec(block=) for one set at M,
-    C = 1.25 M, L = 16, and P problems.  Chips are drawn one per stripe of
-    C / L chips, which is quick and keeps each chip's occupancy near the
-    uniform draw's."""
+    of a sparse h_matvec(block=) for one set at M, C = 1.25 M, L = 16, and
+    P problems: of float vectors (the row route) and of +/-1 vectors (the
+    chip route).  Chips are drawn one per stripe of C / L chips, which is
+    quick and keeps each chip's occupancy near the uniform draw's."""
     C, L = M * 5 // 4, 16
     g = rng_for(M)
     chips = np.arange(L) * (C // L) + g.integers(0, C // L, (M, L))
@@ -391,14 +391,16 @@ def _transients(M, P=8):
     try:
         xc = crosscorrelation(S, 1.0)
         held, peak = tracemalloc.get_traced_memory()
-        route = peak - held
-        tracemalloc.reset_peak()
-        out = xc.h_matvec(X, np.zeros(P, dtype=int))
-        held, peak = tracemalloc.get_traced_memory()
-        matvec = peak - held
+        peaks = [peak - held]
+        for x in (X, np.sign(X)):
+            tracemalloc.reset_peak()
+            out = xc.h_matvec(x, np.zeros(P, dtype=int))
+            held, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - held)
+            del out
     finally:
         tracemalloc.stop()
-    return route, matvec
+    return peaks
 
 
 def test_setup_transients_do_not_follow_the_pairs():
@@ -407,10 +409,12 @@ def test_setup_transients_do_not_follow_the_pairs():
     # copied the indices to intp beside a product per entry took 19 and
     # 78 MiB.  In row chunks they took 3.2 and 7.1 MiB (of which 0.9 and
     # 3.0 MiB are the output's slots for pairs that share a (row, column),
-    # shrunk away at the end) and 2.4 and 3.3 MiB
+    # shrunk away at the end) and 2.4 and 3.3 MiB.  The chip route of +/-1
+    # vectors, in chunks of problems, took 2.3 and 4.6 MiB
     for M in (4096, 16384):
-        route, matvec = _transients(M)
-        assert route < 16 * 2 ** 20 and matvec < 6 * 2 ** 20, (M, route, matvec)
+        route, *matvec = _transients(M)
+        assert route < 16 * 2 ** 20 and max(matvec) < 6 * 2 ** 20, (
+            M, route, matvec)
 
 
 def test_sign_frequency_and_position_uniformity():
@@ -474,7 +478,7 @@ def test_chip_index_is_the_stable_chip_order(C, M, L, B):
     S = gen_sparse_matrix(C, M, L, [rng_for(30 + b) for b in range(B)])
     if B == 1:
         S = SequenceMatrix(C, M, S.chips[0], S.signs[0])
-    flat = S.stacked_chips()
+    flat = S.stacked_chips
     order = np.argsort(flat, kind="stable")
     indptr, cols, signs = S.chip_index
     assert np.array_equal(indptr, np.concatenate(
@@ -522,7 +526,7 @@ def _routes(S):
     """(indptr, indices, r_data) of S by the gather and chip-index routes,
     and whether the work rule picks the gather route."""
     B, C = S.n_blocks, S.n_chips
-    occ = np.bincount(S.stacked_chips(), minlength=B * C).reshape(B, C)
+    occ = np.bincount(S.stacked_chips, minlength=B * C).reshape(B, C)
     pairs = (occ * occ).sum(axis=1)
     gather = (S.n_bits ** 2 * S.n_nonzero
               < seqgen._GATHER_PER_PAIR * pairs.mean())
