@@ -17,7 +17,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Per-bit amplitudes (all positive) and per-chip noise std sigma >= 0."""
+    """Per-bit amplitudes (all positive and finite) and per-chip noise std
+    sigma >= 0, finite."""
 
     amplitudes: np.ndarray
     sigma: float
@@ -27,10 +28,10 @@ class ChannelParams:
         object.__setattr__(self, "amplitudes", A)
         if A.ndim != 1 or A.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
-        if not np.all(A > 0):
-            raise ValueError("amplitudes must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
+        if not np.all((A > 0) & np.isfinite(A)):
+            raise ValueError("amplitudes must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
 
 
 def transmit(S, params, bits, rng):

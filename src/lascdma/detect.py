@@ -57,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seqgen import _indices
+
 MAX_EXHAUSTIVE_BITS = 20  # hard cap for the brute-force search
 
 
@@ -167,6 +169,8 @@ class _Lockstep:
             raise ValueError("y, amplitudes and b0 must all have length M")
         if not np.all(np.abs(b0) == 1):
             raise ValueError("initial bits must be +/-1")
+        if not np.all((A > 0) & np.isfinite(A)):  # the MF-start identity's A > 0
+            raise ValueError("amplitudes must be positive and finite")
         self.problem = problem = _indices(
             np.arange(P) if problem is None else problem, P, "problem")
         hblock = _indices(np.arange(xcorr.n_blocks) if hblock is None
@@ -372,14 +376,6 @@ def _ascend(st, rows):
     alone = follow[~fits]
     converged[alone] = st.sequential(rows[alone], cycles[alone])
     return converged
-
-
-def _indices(v, n, name):
-    """v as an int64 vector of integers in [0, n), or ValueError."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.dtype.kind not in "iu" or np.any((v < 0) | (v >= n)):
-        raise ValueError(f"{name} must hold integers in [0, {n})")
-    return v.astype(np.int64)
 
 
 def las_lockstep(y, xcorr, amplitudes, b0, n_prime, max_passes=100,

@@ -22,8 +22,9 @@ multi-threaded products oversubscribe the worker processes); it runs when
 M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C every
 pair overlaps, and each block's values come from the dense product S^T S.
 Where A = 1, L is a power of two and 2L <= C, the CrossCorr keeps the
-stack, and CrossCorr.h_matvec takes +/-1 vectors through its chips: 2L
-entries per bit instead of a row's 4-200, with the same doubles.
+stack, and CrossCorr.h_matvec takes every +/-1 vector through its chips:
+2L entries per bit instead of a row's 2-200, with the same doubles.  Every
+other product takes H's rows.
 Entries whose sign products cancel to exactly 0.0 are kept in the
 sparse structure: the pair shares chip support, and a sparse detector
 implementation stores and touches that entry regardless of its value.
@@ -55,9 +56,6 @@ _SELECT_Z, _SELECT_SHARE = 5, 0.25
 # 17-21 ms per block against 23-25 ms for one product per problem; chunks
 # of 2 MB gained less
 _MATVEC_BUFFER = 1 << 17
-# h_matvec's route rule in row entries (README, H products): a block in use
-# past the first costs the row route _BLOCK_ENTRIES, chip sums _CHIP_ENTRIES L
-_BLOCK_ENTRIES, _CHIP_ENTRIES = 4000, 4
 
 
 @dataclass
@@ -200,18 +198,13 @@ class CrossCorr:
         return self.indices[lo:hi], self.h_data[lo:hi]
 
     def block(self, b):
-        """Block b of the stack as a CrossCorr of its own (views)."""
-        M = self.n_bits
-        if not 0 <= b < self.n_blocks:
-            raise ValueError(f"block must be an integer in [0, {self.n_blocks})")
+        """Block b of the stack as a CrossCorr of its own (views), H alone:
+        its products take the row route, which gives the same doubles."""
+        M, b = self.n_bits, int(_indices([b], self.n_blocks, "block")[0])
         lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
-        S = self.seqs
-        if S is not None:  # matrix b of the stack
-            S = SequenceMatrix(S.n_chips, M, *(a.reshape(-1, M, S.n_nonzero)[b]
-                                               for a in (S.chips, S.signs)))
         return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
                          self.indices[lo:hi], self.h_data[lo:hi],
-                         self.diag[b * M:(b + 1) * M], S)
+                         self.diag[b * M:(b + 1) * M])
 
     def h_matvec(self, x, block=None):
         """H @ x.  On a stack, x holds one vector per problem, (P, M), and
@@ -221,31 +214,21 @@ class CrossCorr:
         problems, and a row's products x_j H_kj (x against a full block's
         values, or x^T gathered at a sparse row's columns) are summed by
         np.add.reduceat over its row segment, as the per-entry gather does.
-        Chip route, for +/-1 vectors where the CrossCorr keeps its stack
-        (A = 1, L = 2^e, 2L <= C): J = S_int^T (S_int x), by one weighted
+        Chip route, taken by every +/-1 x where the CrossCorr keeps its
+        stack (A = 1, L = 2^e, 2L <= C): J = S_int^T (S_int x), by one weighted
         bincount of the problems' signed bits into their chips (problem p's
         at p*C + c) and a gather at the same chips, and H x = J / L.  Each
         product +/-n/L and partial row sum is a multiple of 2^-e, so the row
         route's sums are exact, as J is: the same doubles (+0.0 for a zero
         sum on both, the diagonal term being +/-1).  It reads 2L entries per
-        bit, not a row's, and runs when the mean row length, plus
-        _BLOCK_ENTRIES per bit for each block in use past the first, exceeds
-        _CHIP_ENTRIES * L."""
+        bit, not a row's."""
         M, B = self.n_bits, self.n_blocks
         X = np.asarray(x, dtype=np.float64).reshape(-1, M)
-        block = np.arange(B) if block is None else np.asarray(block)
+        block = _indices(np.arange(B) if block is None else block, B, "block")
         if len(X) != len(block):
             raise ValueError("need one vector per block or problem")
-        if np.any((block < 0) | (block >= B)):
-            raise ValueError(f"block must hold integers in [0, {B})")
-        out, full = np.empty_like(X), self.full_blocks
-        order = np.argsort(block, kind="stable")  # the problems by block
-        bs = block[order]
-        cut = (np.flatnonzero(bs[1:] != bs[:-1]) + 1).tolist()
-        S = self.seqs
-        if S is not None and X.size and (  # the chip route, where cheaper
-                self.nnz / (B * M) + _BLOCK_ENTRIES * len(cut) / X.size
-                > _CHIP_ENTRIES * S.n_nonzero) and np.all(np.abs(X) == 1):
+        out, S = np.empty_like(X), self.seqs
+        if S is not None and np.all(np.abs(X) == 1):  # the chip route
             C, L = S.n_chips, S.n_nonzero
             chips, signs = (a.reshape(B, M, L) for a in (S.chips, S.signs))
             n = max(1, _MATVEC_BUFFER // (M * L))
@@ -259,6 +242,10 @@ class CrossCorr:
                 np.divide(v.sum(-1), L, out=out[lo:lo + n])
                 del key, v  # before the next chunk's
             return out.reshape(np.shape(x))
+        full = self.full_blocks
+        order = np.argsort(block, kind="stable")  # the problems by block
+        bs = block[order]
+        cut = (np.flatnonzero(bs[1:] != bs[:-1]) + 1).tolist()
         for i, j in zip([0] + cut, cut + [bs.size]) if bs.size else ():
             ps, b = order[i:j], bs[i]
             ptr = self.indptr[b * M:(b + 1) * M + 1]  # stack offsets
@@ -298,6 +285,16 @@ class CrossCorr:
             out[lo:hi] = np.add.reduceat(np.abs(self.h_data[a:e]),
                                          self.indptr[lo:hi] - a)
         return out
+
+
+def _indices(v, n, name):
+    """v as an int64 vector of integers in [0, n), or ValueError; an empty
+    list is an empty vector."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.size and (v.dtype.kind not in "iu"
+                                  or np.any((v < 0) | (v >= n))):
+        raise ValueError(f"{name} must hold integers in [0, {n})")
+    return v.astype(np.int64)
 
 
 def _row_chunks(ptr, cap):
@@ -425,8 +422,8 @@ def crosscorrelation(S, amplitudes):
         A = np.full(S.n_bits, float(A))
     if A.shape != (S.n_bits,):
         raise ValueError("amplitudes must have one entry per bit")
-    if not np.all(A > 0):
-        raise ValueError("amplitudes must be positive")
+    if not np.all((A > 0) & (A < np.sqrt(np.finfo(float).max))):
+        raise ValueError("amplitudes must be positive, with finite squares")
 
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     if 2 * L > C:

@@ -143,6 +143,10 @@ def test_channel_params_validation():
         ChannelParams(np.array([1.0, -1.0]), 0.5)
     with pytest.raises(ValueError):
         ChannelParams(np.ones(2), -0.1)
+    for A, sigma in (([1.0, np.inf], 0.5), ([1.0, np.nan], 0.5),
+                     ([1.0, 1.0], np.inf), ([1.0, 1.0], np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams(np.array(A), sigma)
 
 
 def test_snr_to_sigma_values():

@@ -771,16 +771,14 @@ def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
         for h in map(xc.block, range(3))]))
 
 
-def _both_routes(xc, X, block, monkeypatch):
-    """h_matvec(X, block) with the route rule forced to the row route and
-    to the chip route; the latter also on a copy of xc whose H values are
-    zeroed, which only the chip route, reading no H value, gets right."""
+def _both_routes(xc, X, block):
+    """h_matvec(X, block) on the row route, through a copy of xc without
+    its stack, and on the chip route; the latter also on a copy of xc whose
+    H values are zeroed, which only the chip route, reading no H value,
+    gets right."""
+    rows = dataclasses.replace(xc, seqs=None).h_matvec(X, block)
     zeroed = dataclasses.replace(xc, h_data=np.zeros_like(xc.h_data))
-    with monkeypatch.context() as m:
-        m.setattr(seqgen, "_CHIP_ENTRIES", np.inf)
-        rows = xc.h_matvec(X, block)
-        m.setattr(seqgen, "_CHIP_ENTRIES", 0)
-        return rows, xc.h_matvec(X, block), zeroed.h_matvec(X, block)
+    return rows, xc.h_matvec(X, block), zeroed.h_matvec(X, block)
 
 
 def _assert_same_doubles(a, *others):
@@ -790,11 +788,11 @@ def _assert_same_doubles(a, *others):
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
-def test_chip_route_equals_the_row_route_bit_for_bit(L, monkeypatch):
+def test_chip_route_equals_the_row_route_bit_for_bit(L):
     # +/-1 vectors on exact stacks (power-of-two L, 2L <= C, A = 1): J / L
     # from the chip sums is the row route's double, for fixed stacks under
-    # unsorted, repeated and empty block maps, a per-transmission stack, and
-    # one vector on a block alone
+    # unsorted, repeated and empty block maps and a per-transmission stack;
+    # a block alone keeps no stack and takes the row route
     M, C = 40, 80
     rng = np.random.default_rng(L)
     _, xc = _stacked_h(7, C, M, L, np.ones(M))
@@ -804,25 +802,41 @@ def test_chip_route_equals_the_row_route_bit_for_bit(L, monkeypatch):
     X = rng.integers(0, 2, (20, M)).astype(np.int8) * 2 - 1
     for h, block in ((xc, [2, 0, 1, 0, 2, 1, 2]), (xc, [1, 1, 1]),
                      (per_tx, range(20))):
-        rows, chips, zeroed = _both_routes(h, X[:len(block)], block,
-                                           monkeypatch)
+        rows, chips, zeroed = _both_routes(h, X[:len(block)], block)
         ref = _per_entry_matvec(h, X[:len(block)], block)
         _assert_same_doubles(ref, rows, chips, zeroed)
-    for out in _both_routes(xc, X[:0], [], monkeypatch):
+    for out in _both_routes(xc, X[:0], []):
         assert out.shape == (0, M)
     for b in range(3):
         alone = xc.block(b)
-        assert alone.seqs.n_blocks == 1
+        assert alone.seqs is None
         _assert_same_doubles(_per_entry_matvec(xc, X[b:b + 1], [b])[0],
-                             *_both_routes(alone, X[b], None, monkeypatch))
+                             alone.h_matvec(X[b]))
 
 
-def test_chip_route_sums_to_positive_zero(monkeypatch):
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_exact_products_take_the_chip_route_at_small_l(L):
+    # fixed stacks at L <= 4, with rows of 1.8 to 13 entries, under block
+    # maps of one block in use, repeated or a single vector: every exact
+    # +/-1 product takes the chip route, so a copy with zeroed H values
+    # still gives H x
+    M, C = 64, 80
+    _, xc = _stacked_h(10 + L, C, M, L, np.ones(M))
+    X = np.random.default_rng(L).integers(0, 2, (3, M)) * 2 - 1
+    zeroed = dataclasses.replace(xc, h_data=np.zeros_like(xc.h_data))
+    for block in ([1, 1, 1], [2]):
+        ref = _per_entry_matvec(xc, X[:len(block)], block)
+        _assert_same_doubles(ref, zeroed.h_matvec(X[:len(block)], block))
+    ref = _per_entry_matvec(xc, X[:1], [2])[0]  # and one 1-D int8 vector
+    _assert_same_doubles(ref, zeroed.h_matvec(X[0].astype(np.int8), [2]))
+
+
+def test_chip_route_sums_to_positive_zero():
     # two equal columns sending opposite bits: every row sums to zero, +0.0
     # on the row route (its diagonal term is +/-1), and so on the chip route
     xc = _explicit_h([[[0, 1], [0, 1], [2, 3]]], 4)
     X = np.array([[1, -1, -1], [-1, 1, 1]])
-    rows, chips, zeroed = _both_routes(xc, X, [0, 0], monkeypatch)
+    rows, chips, zeroed = _both_routes(xc, X, [0, 0])
     assert np.array_equal(rows[:, :2], np.zeros((2, 2)))
     _assert_same_doubles(rows, chips, zeroed)
 
@@ -830,12 +844,10 @@ def test_chip_route_sums_to_positive_zero(monkeypatch):
 @pytest.mark.parametrize("C, L, unequal, normal", [
     (80, 3, False, False), (80, 12, False, False), (50, 32, False, False),
     (80, 4, True, False), (80, 16, False, True)])
-def test_inexact_products_keep_the_row_route(C, L, unequal, normal,
-                                             monkeypatch):
+def test_inexact_products_keep_the_row_route(C, L, unequal, normal):
     # L not a power of two, 2L > C, A != 1 and float vectors: the chip sums
     # would not give the row route's doubles, so h_matvec keeps the row
-    # route even when the rule prefers chips
-    monkeypatch.setattr(seqgen, "_CHIP_ENTRIES", 0)
+    # route
     M = 40
     rng = np.random.default_rng(C + L)
     A = rng.uniform(0.5, 2.0, M) if unequal else np.ones(M)
@@ -851,11 +863,14 @@ def test_inexact_products_keep_the_row_route(C, L, unequal, normal,
 def test_block_indices_are_checked_where_they_are_read():
     _, xc = _stacked_h(4, 50, 40, 3, np.ones(40))
     X = np.ones((2, 40))
-    for b in (-1, 3):
-        with pytest.raises(ValueError, match=r"integer in \[0, 3\)"):
-            xc.block(b)
+    for b in (-1, 3, 1.5, True):
         with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
-            xc.h_matvec(X, [0, b])
+            xc.block(b)
+    for block in ([0, -1], [0, 3], [0.5, 1.2], [[0], [1]], [True, False]):
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            xc.h_matvec(X, block)
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            las_lockstep(X, xc, np.ones(40), X, 0, block=block)
 
 
 def _explicit_h(chips, n_chips):
@@ -883,6 +898,11 @@ def test_las_input_validation():
     for block in ([1], [-1], [0, 0]):  # one block in [0, 1) per problem
         with pytest.raises(ValueError):
             las_lockstep(y[None], xc, A, np.ones((1, 1)), 0, block=block)
+    for a in (np.nan, np.inf, -1.0, 0.0):  # the MF-start identity needs A > 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            slas_detect(y, xc, np.array([a]), np.array([1], dtype=np.int8))
+        with pytest.raises(ValueError, match="positive and finite"):
+            las_lockstep(y[None], xc, np.array([a]), np.ones((1, 1)), 10)
 
 
 # columns 0 and 1 share chip 1 of four, with L = 2: H = [[1, .5], [.5, 1]]

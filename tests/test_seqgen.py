@@ -272,6 +272,20 @@ def test_mean_h_entries_per_row_anchor(L, tol):
     assert abs(xc.nnz / (5 * M) / expected - 1) < tol
 
 
+@pytest.mark.parametrize("L, tol", [(4, 0.02), (16, 0.008), ("dense", 0.005)])
+def test_mean_offdiagonal_h_energy_anchor(L, tol):
+    # R_kj (k != j) is 1/L times a sum of +/-1 over the chips the pair
+    # shares, on average L^2 / C of them, so E R_kj^2 = 1/C at any L and
+    # a row's sum_{j != k} H_kj^2 is (M - 1) / C in expectation (A = 1).
+    # Over seeds 0-9 of five sets at M = 1024 the ratio less 1 had a
+    # standard deviation of 0.0050 (L = 4), 0.0020 (L = 16) and 0.0012
+    # (dense); tolerance about 4 sd
+    C, M = 1280, 1024
+    xc = crosscorrelation(_five_sets(C if L == "dense" else L, 0), 1.0)
+    off = (xc.h_data @ xc.h_data - xc.diag @ xc.diag) / (5 * M)
+    assert abs(off / ((M - 1) / C) - 1) < tol
+
+
 def test_chip_occupancy_variance_anchor():
     # a chip's occupancy is Binomial(M, L / C): the variance over the chips
     # about the exact mean M L / C, pooled over five sets, against
@@ -619,6 +633,10 @@ def test_crosscorrelation_input_validation():
         crosscorrelation(S, np.ones(3))
     with pytest.raises(ValueError):
         crosscorrelation(S, np.array([1.0, -1.0, 1.0, 1.0]))
+    # H = A R A would hold inf or NaN
+    for a in (np.inf, 1e200, np.nan):
+        with pytest.raises(ValueError, match="finite squares"):
+            crosscorrelation(S, np.array([1.0, a, 1.0, 1.0]))
 
 
 def test_structural_offdiagonal_count_matches_shared_support_model():
