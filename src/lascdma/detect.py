@@ -53,6 +53,7 @@ over immutable (y, H, A); many runs may share one crosscorrelation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,10 @@ class _Lockstep:
         self.K = K = problem.size
         self.M = M
         n_prime, max_passes = np.asarray(n_prime), np.asarray(max_passes)
+        for name, v in (("n_prime", n_prime), ("max_passes", max_passes)):
+            if not all(isinstance(x, numbers.Integral) and not isinstance(
+                    x, bool) for x in v.ravel().tolist()):  # never truncated
+                raise ValueError(f"{name} must hold integers")
         if np.any(max_passes < 1) or np.any(max_passes > (2**63 - 1) // M):
             # a pass budget counts max_passes * M steps in int64
             raise ValueError("max_passes must be in [1, 2**63 / M)")

@@ -17,6 +17,7 @@ bit-identical for a fixed seed under any worker count.
 import ctypes
 import math
 import multiprocessing
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -141,17 +142,21 @@ class ExperimentConfig:
                 f"experiment {self.experiment!r} contains {bad[0]!r}: names "
                 f"must be printable, without ',', '\"' or '#'"
             )
+        counts = {k: getattr(self, k) for k in (
+            "M", "seed", "min_bit_errors", "max_bits", "n_prime", "max_passes")}
+        if self.L != "dense":
+            counts["L"] = self.L
+        if self.seq_sets not in ("auto", "per_tx"):
+            counts["seq_sets"] = self.seq_sets
+        for k, v in counts.items():  # never truncated
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigError(f"{k} must be an integer, got {v!r}")
         if self.M < 1:
             raise ConfigError("M must be >= 1")
         if not 0 < self.alpha < math.inf:
             raise ConfigError("alpha must be > 0 and finite")
-        if self.L != "dense":
-            try:
-                L = int(self.L)
-            except (TypeError, ValueError):
-                raise ConfigError(f"L must be an integer or 'dense', got {self.L!r}")
-            if L < 1:
-                raise ConfigError("L must be >= 1")
+        if self.L != "dense" and self.L < 1:
+            raise ConfigError("L must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.min_bit_errors < 0:
@@ -162,13 +167,8 @@ class ExperimentConfig:
             raise ConfigError("max_passes must be in [1, 2**63 / M)")
         if not 0 <= self.n_prime < 2 ** 63:
             raise ConfigError("n_prime must be in [0, 2**63)")
-        if self.seq_sets not in ("auto", "per_tx"):
-            try:
-                n = int(self.seq_sets)
-            except (TypeError, ValueError):
-                raise ConfigError(f"seq_sets must be 'auto', 'per_tx' or a count")
-            if n < 1:
-                raise ConfigError("seq_sets count must be >= 1")
+        if "seq_sets" in counts and self.seq_sets < 1:
+            raise ConfigError("seq_sets count must be >= 1")
         if not self.snr_points():
             raise ConfigError("snr_db must contain at least one value")
         streams = {}  # trial-stream code -> SNR
@@ -365,13 +365,11 @@ def _group_size(ctx):
 
 
 def _run_trials(ctx, items):
-    """Run the trials [(set index, trial index), ...] and return the
-    concatenated counts of _detect, one entry per trial, in order.  The
-    trials are built and detected in lockstep groups of _group_size; a
+    """Build and detect the trials [(set index, trial index), ...] as one
+    lockstep group, a pool task, and return _detect's counts, one entry per
+    trial, in order.  _run_point cuts batches into groups of _group_size; a
     trial's result does not depend on its group."""
-    n = _group_size(ctx)
-    return np.concatenate([_detect(ctx, *_build(ctx, items[i:i + n]))
-                           for i in range(0, len(items), n)])
+    return _detect(ctx, *_build(ctx, items))
 
 
 _WORKER_CTX = None
@@ -501,6 +499,7 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
     tally = np.zeros((n_sets, len(detectors), 6), dtype=np.int64)
     trials_done = 0
     bits_per_round = M * n_sets
+    size = _group_size(ctx)  # trials per lockstep group and per pool task
 
     # pool workers fill the cores, so they fork with one BLAS thread each:
     # with one per core in each, per-tx points' dense products thrashed
@@ -518,20 +517,13 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
             n = _next_batch_trials(config, bits_per_round, trials_done, errs)
             if n == 0:
                 break
-            batch_args = [
-                (s, t)
-                for s in range(n_sets)
-                for t in range(trials_done, trials_done + n)
-            ]
-            if pool is not None:
-                chunk = max(1, len(batch_args) // (workers * 4))
-                counts = np.concatenate(pool.map(_worker_trials, [
-                    batch_args[i:i + chunk]
-                    for i in range(0, len(batch_args), chunk)
-                ]))
-            else:
-                counts = _run_trials(ctx, batch_args)
-            np.add.at(tally, [s for s, _ in batch_args], counts)
+            batch_args = [(s, t) for s in range(n_sets)
+                          for t in range(trials_done, trials_done + n)]
+            groups = [batch_args[i:i + size]
+                      for i in range(0, len(batch_args), size)]
+            counts = (pool.map(_worker_trials, groups) if pool is not None
+                      else [_run_trials(ctx, g) for g in groups])
+            np.add.at(tally, [s for s, _ in batch_args], np.concatenate(counts))
             trials_done += n
     finally:
         if pool is not None:
@@ -566,12 +558,17 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     Each list defaults to the config's own L or M, and every point runs
     over the config's SNR list, L outermost.  Every point is validated
     before any runs: an infeasible one becomes a failure ("L=...,M=...",
-    InfeasibleError) and the rest still run; any other ConfigError raises.
+    InfeasibleError) and the rest still run; any other ConfigError raises,
+    as does a list that repeats a value (both copies would run on one trial
+    stream).
     A point whose run cannot allocate its arrays (MemoryError) is a failure
     too, and writes no rows.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    for name, values in (("bk_list", bk_list), ("l_list", l_list)):
+        if values and len(set(values)) < len(values):
+            raise ConfigError(f"{name} repeats a value: {values!r}")
     points, failures = [], []
     for L in l_list or (config.L,):
         for M in bk_list or (config.M,):

@@ -422,8 +422,11 @@ def crosscorrelation(S, amplitudes):
         A = np.full(S.n_bits, float(A))
     if A.shape != (S.n_bits,):
         raise ValueError("amplitudes must have one entry per bit")
-    if not np.all((A > 0) & (A < np.sqrt(np.finfo(float).max))):
-        raise ValueError("amplitudes must be positive, with finite squares")
+    # squares below the smallest normal double turn H subnormal, then zero
+    big, tiny = np.sqrt(np.finfo(float).max), np.sqrt(np.finfo(float).tiny)
+    if not np.all((A >= tiny) & (A < big)):
+        raise ValueError("amplitudes must be positive, with finite squares "
+                         "that do not underflow")
 
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     if 2 * L > C:

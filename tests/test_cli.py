@@ -445,6 +445,9 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     ("max_passes=1e30", "max_passes must be in [1, 2**63 / M)"),
     ("n_prime=1e30", "n_prime must be in [0, 2**63)"),
     ("n_prime=9223372036854775808", "n_prime must be in [0, 2**63)"),
+    # both copies of a grid point would run on one trial stream
+    ("bk_list=64,64", "bk_list repeats a value: (64, 64)"),
+    ("l_list=4,4", "l_list repeats a value: (4, 4)"),
 ])
 def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
     out = tmp_path / "x.csv"

@@ -898,6 +898,13 @@ def test_las_input_validation():
     for block in ([1], [-1], [0, 0]):  # one block in [0, 1) per problem
         with pytest.raises(ValueError):
             las_lockstep(y[None], xc, A, np.ones((1, 1)), 0, block=block)
+    # budgets are integers, never truncated (max_passes = 1.9 ran one pass)
+    for n_prime, max_passes in ((1.5, 5), (np.nan, 5), (True, 5), (0, 1.9),
+                                (0, 2.5), (0, [2, 2.5])):
+        with pytest.raises(ValueError, match="must hold integers"):
+            las_lockstep(y[None], xc, A, np.ones((1, 1)), n_prime, max_passes)
+    with pytest.raises(ValueError, match="must hold integers"):
+        slas_detect(y, xc, A, np.array([1], dtype=np.int8), max_passes=1.9)
     for a in (np.nan, np.inf, -1.0, 0.0):  # the MF-start identity needs A > 0
         with pytest.raises(ValueError, match="positive and finite"):
             slas_detect(y, xc, np.array([a]), np.array([1], dtype=np.int8))

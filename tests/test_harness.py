@@ -100,6 +100,14 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**good, "snr_db": (8.0, -7000.0)}).validate()
     ExperimentConfig(**{**good, "snr_db": math.inf}).validate()
+    # counts are integers, never truncated (L = 4.5 ran as 4)
+    for key, value in (("L", 4.5), ("seq_sets", 2.5), ("max_passes", 2.5),
+                       ("n_prime", 1.5), ("M", 8.5), ("max_bits", 100.5),
+                       ("seed", 1.5), ("min_bit_errors", 2.0), ("M", True),
+                       ("L", "16"), ("seq_sets", "5")):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            ExperimentConfig(**{**good, key: value}).validate()
+    ExperimentConfig(**{**good, "M": np.int64(16), "seq_sets": 2}).validate()
 
 
 def test_infeasible_configs():
@@ -175,6 +183,59 @@ def test_pool_workers_fork_with_one_blas_thread(monkeypatch):
     monkeypatch.undo()
     # the parent's products run on two threads, the workers' on one
     assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+
+
+@pytest.mark.parametrize("config", [
+    # per-tx, 51-trial groups: an adaptive run of two batches
+    small_config(M=64, snr_db=11.0, min_bit_errors=1500, max_bits=64 * 4096),
+    # five fixed sets, 512-trial groups: 600 items in one batch
+    small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
+                 max_bits=256 * 5 * 120),
+])
+def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
+    # each batch is cut once: its tasks are its consecutive lockstep groups
+    batches, ctxs = [], []
+
+    class InProcess:
+        def __init__(self, workers, initializer, initargs):
+            initializer(*initargs)
+            ctxs.extend(initargs)
+
+        def map(self, fn, tasks):
+            batches.append(tasks)
+            return [fn(task) for task in tasks]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(harness, "_WORKER_CTX", None)
+    monkeypatch.setattr(harness.multiprocessing, "Pool", InProcess)
+    pooled = run_experiment(config, workers=2)
+    n_sets = len(ctxs[0].trial_keys)
+    size = harness._group_size(ctxs[0])
+    done = 0
+    assert len(batches) == (2 if n_sets == 1 else 1)
+    for tasks in batches:
+        items = [item for task in tasks for item in task]
+        n = len(items) // n_sets
+        assert items == [(s, t) for s in range(n_sets)
+                         for t in range(done, done + n)]
+        assert [len(task) for task in tasks[:-1]] == [size] * (len(tasks) - 1)
+        assert len(tasks) == -(-len(items) // size) > 1
+        done += n
+    monkeypatch.undo()
+    assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+
+
+def test_fixed_sets_same_bytes_on_two_workers():
+    # 600 items span two 512-trial groups, one per pool task
+    config = small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
+                          max_bits=256 * 5 * 120)
+    assert csv_bytes(run_experiment(config, workers=2)) == csv_bytes(
+        run_experiment(config))
 
 
 def test_fixed_sets_reporting():

@@ -637,6 +637,14 @@ def test_crosscorrelation_input_validation():
     for a in (np.inf, 1e200, np.nan):
         with pytest.raises(ValueError, match="finite squares"):
             crosscorrelation(S, np.array([1.0, a, 1.0, 1.0]))
+    # squares below the smallest normal double: H went subnormal (1e-160)
+    # or all zero (1e-170) at M = 64, L = 4
+    S = gen_sparse_matrix(80, 64, 4, rng_for(0))
+    for a in (1e-170, 1e-160):
+        with pytest.raises(ValueError, match="do not underflow"):
+            crosscorrelation(S, np.full(64, a))
+    diag = crosscorrelation(S, np.full(64, 1e-150)).diag
+    assert np.allclose(diag, 1e-300, rtol=1e-12, atol=0)
 
 
 def test_structural_offdiagonal_count_matches_shared_support_model():
