@@ -230,14 +230,15 @@ class _Lockstep:
                     f"incremental gradient drifted from recomputation by {err:.3e}"
                 )
 
-    def _columns(self, rows, ks):
-        """The H column ks[i] of row rows[i]'s block, for every i, one after
-        the other: (column indices, values, entries per i)."""
+    def _columns(self, rows, ks, c):
+        """c[i] times the H column ks[i] of row rows[i]'s block, for every
+        i, one after the other: (column indices, values, entries per i)."""
         s = self.blk[rows] * self.M + ks  # row of the stack
         lo = self.xc.indptr[s]
         n = self.xc.indptr[s + 1] - lo
         at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        return self.xc.indices[at], self.xc.h_data[at], n
+        return (self.xc.indices[at],
+                self.xc._times(np.repeat(c, n), self.xc.h_data[at]), n)
 
     def _flip_each(self, rows, ks):
         """Flip bit ks[i] of row rows[i]; rows are distinct."""
@@ -247,17 +248,17 @@ class _Lockstep:
         full = self.full[rows]
         if full.any():  # full H rows are contiguous: update whole rows
             fr, fk = rows[full], ks[full]
-            self.G[fr, :self.M] += c[full, None] * self.windows[
-                self.xc.indptr[self.blk[fr] * self.M + fk]]
+            self.G[fr, :self.M] += self.xc._times(c[full, None], self.windows[
+                self.xc.indptr[self.blk[fr] * self.M + fk]])
             self.additions[fr] += self.M
         if not full.all():
             sr, sk = rows[~full], ks[~full]
-            cols, vals, lens = self._columns(sr, sk)
+            cols, vals, lens = self._columns(sr, sk, c[~full])
             self.additions[sr] += lens
             at = np.repeat(sr * self.Mp, lens) + cols  # flat (row, column)
             # distinct rows repeat no (row, column); np.add.at measured
             # faster here than a gather, add and scatter
-            np.add.at(self.G.reshape(-1), at, np.repeat(c[~full], lens) * vals)
+            np.add.at(self.G.reshape(-1), at, vals)
         if self.hooked:
             for r, k in zip(rows.tolist(), ks.tolist()):
                 self._after_flips(r, (k,))
@@ -273,9 +274,9 @@ class _Lockstep:
         if ri.size:
             r = rows[ri]
             c = 2.0 * self.B[r, k]
-            cols, vals, lens = self._columns(r, k)
+            cols, vals, lens = self._columns(r, k, c)
             np.add.at(self.G.reshape(-1), np.repeat(r * self.Mp, lens) + cols,
-                      np.repeat(c, lens) * vals)
+                      vals)
             self.B[r, k] = -self.B[r, k]
             np.add.at(self.additions, r, lens)
             np.add.at(self.flips, r, 1)

@@ -501,15 +501,8 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
     bits_per_round = M * n_sets
     size = _group_size(ctx)  # trials per lockstep group and per pool task
 
-    # pool workers fill the cores, so they fork with one BLAS thread each:
-    # with one per core in each, per-tx points' dense products thrashed
-    blas = _blas_threads(1) if workers > 1 else None
-    pool = None
+    blas = pool = None
     try:
-        if workers > 1:
-            pool = multiprocessing.Pool(
-                workers, initializer=_worker_init, initargs=(ctx,)
-            )
         while True:
             errs = tally[:, :, 0].sum(axis=0).tolist()
             if 0 < config.min_bit_errors <= min(errs):
@@ -521,7 +514,13 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
                           for t in range(trials_done, trials_done + n)]
             groups = [batch_args[i:i + size]
                       for i in range(0, len(batch_args), size)]
-            counts = (pool.map(_worker_trials, groups) if pool is not None
+            if workers > 1 and len(groups) > 1 and pool is None:
+                # workers fill the cores, so they fork with one BLAS thread
+                # each: with one per core, per-tx points' products thrashed
+                blas = _blas_threads(1)
+                pool = multiprocessing.Pool(workers, initializer=_worker_init,
+                                            initargs=(ctx,))
+            counts = (pool.map(_worker_trials, groups) if pool and len(groups) > 1
                       else [_run_trials(ctx, g) for g in groups])
             np.add.at(tally, [s for s, _ in batch_args], np.concatenate(counts))
             trials_done += n

@@ -10,17 +10,18 @@ Generators, as the harness's fixed sets are), has (B, M, L) chips and
 signs and is checked, correlated and transmitted through as one unit; its
 crosscorrelation is one block-stacked CrossCorr.
 
-Crosscorrelations sum each column pair's sign products as integers and
-divide by L once, so every value of S^T S is the correctly rounded n/L of
-its integer sign sum n, by one of two routes.  The chip-index route pairs
+Crosscorrelations sum each column pair's sign products as integers n and
+keep them over one divisor L, so every value of S^T S reads as the
+correctly rounded n/L, by one of two routes.  The chip-index route pairs
 only the columns that share a chip, through an inverted chip index, and
 sums by one in-place sort of (row, column, sign) keys per chunk of rows:
 its work is pairs = sum_c occupancy(c)^2, its memory H plus a chunk.  The
 gather route gathers an int8 C x M sign matrix at each column's L chips
-and sums in int16, M^2 L entries per matrix and no BLAS (tiny
+and sums in int8 (L < 2^7), M^2 L entries per matrix and no BLAS (tiny
 multi-threaded products oversubscribe the worker processes); it runs when
 M^2 L < _GATHER_PER_PAIR * pairs, i.e. for small M.  When 2L > C every
-pair overlaps, and each block's values come from the dense product S^T S.
+pair overlaps, and each block's values are doubles from the dense product
+S^T S, over divisor 1, as are the values of every H with A != 1.
 Where A = 1, L is a power of two and 2L <= C, the CrossCorr keeps the
 stack, and CrossCorr.h_matvec takes every +/-1 vector through its chips:
 2L entries per bit instead of a row's 2-200, with the same doubles.  Every
@@ -165,7 +166,11 @@ class CrossCorr:
 
     One full symmetric CSR structure per block (per-row column/value lists,
     columns ascending within a row): `indptr`/`indices` with values
-    `h_data`; `diag` holds the H diagonal (A_k^2 for unit-norm columns).  A
+    `h_data / den`; `diag` holds the H diagonal (A_k^2 for unit-norm
+    columns).  A sparse H with A = 1 holds sign sums n (int8 while L < 2^7,
+    int16 below 2^15) over den = L, 5 bytes an entry with its column; other
+    H hold doubles over den = 1.  Readers divide sums where they read and
+    take doubles untouched: each value reads as the rounded n/L.  A
     stack of B blocks has B*M rows, block b's at offset b*M, and column
     indices local to the block.  Structural entries are exactly the column
     pairs sharing chip support, including any whose value cancels to 0.0.
@@ -178,6 +183,7 @@ class CrossCorr:
     h_data: np.ndarray
     diag: np.ndarray
     seqs: SequenceMatrix = None  # the stack, kept where chip sums are exact
+    den: int = 1  # H = h_data / den
 
     @property
     def nnz(self):
@@ -194,8 +200,24 @@ class CrossCorr:
 
     def row(self, k):
         """Nonzero (indices, values) of row k of H (== column k by symmetry)."""
+        k = int(_indices([k], self.indptr.size - 1, "row")[0])
         lo, hi = self.indptr[k], self.indptr[k + 1]
-        return self.indices[lo:hi], self.h_data[lo:hi]
+        return self.indices[lo:hi], self._doubles(self.h_data[lo:hi])
+
+    def _doubles(self, v):
+        """Entries v of h_data as H's doubles: sign sums over den."""
+        return v if v.dtype == np.float64 else v / self.den
+
+    def _times(self, c, v):
+        """c = +/-2 times the entries v of h_data as H's doubles: c v / den
+        is c (v / den), +/-0.0 included, as 2 scales exactly.  For den = 2^e
+        c v 2^-e is the same double, and a product is 8x as cheap."""
+        v = c * v
+        if self.den & (self.den - 1):
+            v /= self.den
+        elif self.den > 1:
+            v *= 1 / self.den
+        return v
 
     def block(self, b):
         """Block b of the stack as a CrossCorr of its own (views), H alone:
@@ -204,7 +226,7 @@ class CrossCorr:
         lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
         return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
                          self.indices[lo:hi], self.h_data[lo:hi],
-                         self.diag[b * M:(b + 1) * M])
+                         self.diag[b * M:(b + 1) * M], den=self.den)
 
     def h_matvec(self, x, block=None):
         """H @ x.  On a stack, x holds one vector per problem, (P, M), and
@@ -255,7 +277,7 @@ class CrossCorr:
                 n = max(1, _MATVEC_BUFFER // (ps.size * M))
                 buf = np.empty(ps.size * min(n, M) * M)
                 for lo in range(0, M, n):
-                    hk = h[lo:lo + n]
+                    hk = self._doubles(h[lo:lo + n])
                     v = buf[:ps.size * hk.size].reshape(ps.size, -1, M)
                     np.multiply(Xb, hk, out=v)
                     out[ps, lo:lo + n] = np.add.reduceat(
@@ -265,7 +287,7 @@ class CrossCorr:
             Xt = np.ascontiguousarray(X[ps].T)  # row j: x_j of each problem
             for lo, hi, a, e in _row_chunks(ptr, _MATVEC_BUFFER // ps.size):
                 v = np.take(Xt, self.indices[a:e], axis=0)
-                v *= self.h_data[a:e, None]
+                v *= self._doubles(self.h_data[a:e, None])
                 out[ps, lo:hi] = np.add.reduceat(v, ptr[lo:hi] - a, 0).T
         return out.reshape(np.shape(x))
 
@@ -273,17 +295,17 @@ class CrossCorr:
         """H as a dense (rows, M) array: (M, M), or the B blocks stacked."""
         out = np.zeros((self.indptr.size - 1, self.n_bits))
         rows = np.repeat(np.arange(out.shape[0]), np.diff(self.indptr))
-        out[rows, self.indices] = self.h_data
+        out[rows, self.indices] = self._doubles(self.h_data)
         return out
 
     @cached_property
     def abs_row_sums(self):
-        """sum_j |H_kj| per row; the all-bits update threshold.  Summed over
-        row chunks, so that |H| is copied a bounded chunk at a time."""
+        """sum_j |H_kj| per row; the all-bits update threshold.  The doubles
+        |n|/den are summed over row chunks, a bounded copy at a time."""
         out = np.empty(self.indptr.size - 1)
         for lo, hi, a, e in _row_chunks(self.indptr, _MATVEC_BUFFER):
-            out[lo:hi] = np.add.reduceat(np.abs(self.h_data[a:e]),
-                                         self.indptr[lo:hi] - a)
+            out[lo:hi] = np.add.reduceat(self._doubles(np.abs(
+                self.h_data[a:e])), self.indptr[lo:hi] - a)
         return out
 
 
@@ -410,12 +432,13 @@ def crosscorrelation(S, amplitudes):
     """Build H = A R A, with R = S^T S, as a sparse symmetric structure: one
     block per matrix of the stack S, all with the same amplitudes.
 
-    Each R entry is the exact n/L of its integer sign sum n, by the chip
+    Each R entry is the integer sign sum n over the divisor L, by the chip
     index route (work sum_c occupancy(c)^2, in chunks of rows, into one set
     of arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
-    (M^2 L entries per block, all blocks at once).  When 2L > C every
+    (M^2 L entries per block, all blocks at once).  With A = 1 the H keeps
+    n and L; otherwise its values are (n/L) A_k A_j.  When 2L > C every
     column pair shares a chip (the structure is full), so each block's
-    product is taken densely instead.
+    product is taken densely instead, as doubles over divisor 1.
     """
     A = np.asarray(amplitudes, dtype=np.float64)
     if A.ndim == 0:
@@ -439,6 +462,7 @@ def crosscorrelation(S, amplitudes):
         r_data = r_data.reshape(-1)
         indptr = np.arange(B * M + 1, dtype=np.int64) * M
         indices = np.tile(np.arange(M, dtype=np.int32), B * M)
+        den = 1
     else:
         occ = np.bincount(S.stacked_chips, minlength=B * C).reshape(B, C)
         pairs = (occ * occ).sum(axis=1)
@@ -446,30 +470,30 @@ def crosscorrelation(S, amplitudes):
             indptr, indices, r_data = _gather_route(S)
         else:
             indptr, indices, r_data = _chip_index_route(S, occ, pairs)
-        r_diag = np.ones(B * M)  # n = L on the diagonal
+        r_diag, den = np.ones(B * M), L  # n = L on the diagonal
 
     if np.all(A == 1.0):
         # equal power: identical; immutable by convention.  A fresh stack
         # (no caches of S) is kept where J / L is exact: see h_matvec
         exact = 2 * L <= C and L & (L - 1) == 0
         return CrossCorr(M, indptr, indices, r_data, r_diag, SequenceMatrix(
-            C, M, S.chips, S.signs) if exact else None)
+            C, M, S.chips, S.signs) if exact else None, den)
     rows_of = np.repeat(np.tile(np.arange(M), B), np.diff(indptr))
     At = np.tile(A, B)
-    return CrossCorr(M, indptr, indices, r_data * A[rows_of] * A[indices],
-                     r_diag * At * At)
+    return CrossCorr(M, indptr, indices,
+                     r_data / den * A[rows_of] * A[indices], r_diag * At * At)
 
 
 def _gather_route(S):
-    """(indptr, indices, r_data) of every block at once: row j of the int8
-    C x M sign matrix, gathered at column j's chips and summed with its
+    """(indptr, indices, sign sums) of every block at once: row j of the
+    int8 C x M sign matrix, gathered at column j's chips and summed with its
     signs, is column j's integer sign sum with every column."""
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     chips = S.stacked_chips.reshape(B, M, L)
     signs = S.signs.reshape(B, M, L)
     Si = np.zeros((B * C, M), dtype=np.int8)  # the blocks' sign matrices
     Si[chips, np.arange(M)[:, None]] = signs
-    n = np.zeros((B, M, M), dtype=np.int16 if L < 2 ** 15 else np.int32)
+    n = np.zeros((B, M, M), dtype=np.min_scalar_type(-L - 1))  # holds +/-L
     pattern = np.zeros((B, M, M), dtype=bool)  # shared support
     for l in range(L):
         g = Si[chips[:, :, l]]
@@ -478,11 +502,11 @@ def _gather_route(S):
         n += g
     indptr = np.concatenate(([0], np.cumsum(pattern.sum(axis=2).ravel())))
     indices = np.broadcast_to(np.arange(M, dtype=np.int32), pattern.shape)[pattern]
-    return indptr, indices, n[pattern] / L
+    return indptr, indices, n[pattern]
 
 
 def _chip_index_route(S, occ, pairs):
-    """(indptr, indices, r_data) in chunks of rows of up to _PAIR_BUFFER
+    """(indptr, indices, sign sums) in chunks of rows of up to _PAIR_BUFFER
     pairs: each chip of a row gives one (row, column, signs agree) key per
     occupant, summed per (row, column) after an in-place sort, into arrays
     sized by the pair counts and then shrunk."""
@@ -493,7 +517,7 @@ def _chip_index_route(S, occ, pairs):
     cap = int(np.minimum(pairs, M * M).sum())
     indptr = np.zeros(B * M + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int32)
-    r_data = np.empty(cap)
+    r_data = np.empty(cap, dtype=np.min_scalar_type(-L - 1))  # holds +/-L
     at = 0
     for lo, hi, a, e in _row_chunks(rptr, _PAIR_BUFFER):
         ch = chips[lo * L:hi * L]
@@ -506,7 +530,7 @@ def _chip_index_route(S, occ, pairs):
         pos = np.arange(n, dtype=it) - np.repeat(shift, c)
         # key = (row, col) << 1 | (sign product > 0); the exact integer sign
         # sum n of a (row, col) is the running sum of the +/-1 products at
-        # its last key minus that at the key before, divided by L once
+        # its last key minus that at the key before
         key = np.repeat(np.arange(hi - lo, dtype=it).repeat(L), c)
         key *= 2 * M
         key += cols[pos] % M * 2  # column within the block
@@ -516,7 +540,7 @@ def _chip_index_route(S, occ, pairs):
         last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
         ukey, s = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
         end = at + ukey.size
-        np.divide(np.diff(s, prepend=0), L, out=r_data[at:end])
+        r_data[at:end] = np.diff(s, prepend=0)
         indices[at:end] = ukey % M
         indptr[lo + 1:hi + 1] = at + np.searchsorted(
             ukey, np.arange(1, hi - lo + 1, dtype=it) * M)

@@ -20,6 +20,11 @@ def make_instance(rng, M, alpha, L, snr_db, amplitudes=None):
     return S, xc, A, b, y
 
 
+def h_values(xc):
+    """The values of a CrossCorr as doubles: its h_data over its divisor."""
+    return xc.h_data / xc.den
+
+
 def orthogonal_matrix(M, L, rng):
     """Columns on disjoint chip blocks: R is exactly the identity."""
     C = M * L

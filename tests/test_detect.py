@@ -704,7 +704,8 @@ def test_random_lockstep_batches_equal_their_las_runs(rows, invert, sigma,
 
 def _per_entry_matvec(xc, X, block):
     """H @ x of each problem by the per-entry gather of its block."""
-    return np.stack([np.add.reduceat(x[h.indices] * h.h_data, h.indptr[:-1])
+    return np.stack([np.add.reduceat(x[h.indices] * helpers.h_values(h),
+                                     h.indptr[:-1])
                      for x, h in zip(X, map(xc.block, block))])
 
 
@@ -767,7 +768,7 @@ def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     assert np.array_equal(xc.h_matvec(X[:1], [1]),
                           _per_entry_matvec(xc, X[:1], [1]))
     assert np.array_equal(xc.abs_row_sums, np.concatenate([
-        np.add.reduceat(np.abs(h.h_data), h.indptr[:-1])
+        np.add.reduceat(np.abs(helpers.h_values(h)), h.indptr[:-1])
         for h in map(xc.block, range(3))]))
 
 
@@ -858,6 +859,63 @@ def test_inexact_products_keep_the_row_route(C, L, unequal, normal):
     block = [2, 0, 1, 0, 2, 1, 2]
     assert np.array_equal(xc.h_matvec(X, block),
                           _per_entry_matvec(xc, X, block))
+
+
+def _assert_same_fields(a, b):
+    for f in dataclasses.fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
+
+
+@pytest.mark.parametrize("case", [1, 3, 12, 16, "full", "cancelled"])
+def test_every_reader_gives_the_same_doubles(case):
+    # a sparse A = 1 H holds sign sums n over den = L; held as the doubles
+    # n/L over den = 1 instead, every product, row sum, row, block and LAS
+    # run reads the same.  Stacks at L = 1, 3, 12, 16 (block 2 full), and
+    # two full blocks of a sparse route: three columns on chip 0, and two
+    # whose sign products cancel to n = 0
+    if case == "full":
+        xc = _explicit_h([[[0, 1], [0, 2], [0, 3]]], 4)
+    elif case == "cancelled":
+        xc = crosscorrelation(SequenceMatrix(4, 2, [[0, 1], [0, 1]],
+                                             [[1, 1], [1, -1]]), 1.0)
+        assert 0 in xc.h_data
+    else:
+        _, xc = _stacked_h(20 + case, 50, 40, case, np.ones(40), full=[2])
+    assert xc.h_data.dtype == np.int8 and xc.full_blocks.any()
+    ref = dataclasses.replace(xc, h_data=xc.h_data / xc.den, den=1)
+    M, B = xc.n_bits, xc.n_blocks
+    rng = np.random.default_rng(7)
+    block = np.tile(np.arange(B), 2)
+    for X in (rng.integers(0, 2, (2 * B, M)) * 2 - 1,
+              rng.standard_normal((2 * B, M))):
+        _assert_same_doubles(*(dataclasses.replace(h, seqs=None).h_matvec(
+            X, block) for h in (ref, xc)))
+    _assert_same_doubles(ref.abs_row_sums, xc.abs_row_sums)
+    _assert_same_doubles(ref.dense_h(), xc.dense_h())
+    for k in range(B * M):
+        assert np.array_equal(ref.row(k)[0], xc.row(k)[0])
+        _assert_same_doubles(ref.row(k)[1], xc.row(k)[1])
+    # SLAS and WSLAS rows from the MF start, and from starts with about a
+    # third of their bits inverted against a tenfold y, whose all-bit steps
+    # flip many bits at once
+    y = ref.h_matvec(rng.integers(0, 2, (2 * B, M)) * 2 - 1, block)
+    y += 0.7 * rng.standard_normal(y.shape)
+    y[B:] *= 10
+    b0 = np.where(y < 0, -1, 1).astype(np.int8)
+    b0[B:] *= np.where(rng.random((B, M)) < 0.3, -1, 1).astype(np.int8)
+    A = np.ones(M)
+    rows = dict(n_prime=np.tile([0, 3], 2 * B), max_passes=100,
+                problem=np.repeat(np.arange(2 * B), 2), block=block)
+    _assert_same_fields(*(las_lockstep(y, h, A, b0, **rows) for h in (ref, xc)))
+    for b in range(B):
+        alone = xc.block(b)
+        assert alone.den == xc.den
+        _assert_same_doubles(ref.block(b).dense_h(), alone.dense_h())
+        for sched in (Schedule.parallel(), Schedule.hybrid(3)):
+            _assert_same_fields(*(las_run(
+                y[B + b], h, A, sched, b0[B + b], record_flips=True,
+                check_gradient=True) for h in (ref.block(b), alone)))
 
 
 def test_block_indices_are_checked_where_they_are_read():

@@ -185,15 +185,9 @@ def test_pool_workers_fork_with_one_blas_thread(monkeypatch):
     assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
 
 
-@pytest.mark.parametrize("config", [
-    # per-tx, 51-trial groups: an adaptive run of two batches
-    small_config(M=64, snr_db=11.0, min_bit_errors=1500, max_bits=64 * 4096),
-    # five fixed sets, 512-trial groups: 600 items in one batch
-    small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
-                 max_bits=256 * 5 * 120),
-])
-def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
-    # each batch is cut once: its tasks are its consecutive lockstep groups
+def _in_process_pool(monkeypatch):
+    """Make multiprocessing.Pool run its tasks in this process; returns the
+    lists of the batches it maps and of its context, filled as it runs."""
     batches, ctxs = [], []
 
     class InProcess:
@@ -213,6 +207,19 @@ def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
 
     monkeypatch.setattr(harness, "_WORKER_CTX", None)
     monkeypatch.setattr(harness.multiprocessing, "Pool", InProcess)
+    return batches, ctxs
+
+
+@pytest.mark.parametrize("config", [
+    # per-tx, 51-trial groups: an adaptive run of two batches
+    small_config(M=64, snr_db=11.0, min_bit_errors=1500, max_bits=64 * 4096),
+    # five fixed sets, 512-trial groups: 600 items in one batch
+    small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
+                 max_bits=256 * 5 * 120),
+])
+def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
+    # each batch is cut once: its tasks are its consecutive lockstep groups
+    batches, ctxs = _in_process_pool(monkeypatch)
     pooled = run_experiment(config, workers=2)
     n_sets = len(ctxs[0].trial_keys)
     size = harness._group_size(ctxs[0])
@@ -226,6 +233,21 @@ def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
         assert [len(task) for task in tasks[:-1]] == [size] * (len(tasks) - 1)
         assert len(tasks) == -(-len(items) // size) > 1
         done += n
+    monkeypatch.undo()
+    assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+
+
+def test_a_batch_of_one_group_forks_no_pool(monkeypatch):
+    # five fixed sets, 40 items in one batch: one 512-trial lockstep group,
+    # run in this process, with no pool to idle in
+    config = small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
+                          max_bits=256 * 5 * 8)
+    batches, ctxs = _in_process_pool(monkeypatch)
+    groups, run_trials = [], harness._run_trials
+    monkeypatch.setattr(harness, "_run_trials", lambda ctx, items: (
+        groups.append(len(items)) or run_trials(ctx, items)))
+    pooled = run_experiment(config, workers=2)
+    assert groups == [40] and batches == [] and ctxs == []
     monkeypatch.undo()
     assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
 
@@ -282,7 +304,7 @@ def test_fixed_set_crosscorrelation_bytes(L, digest):
     n_sets, _, xc = harness._resolve_sets(
         ExperimentConfig(M=1024, alpha=0.8, L=L, seed=1))
     h = hashlib.sha256()
-    for a in (xc.indptr, xc.indices, xc.h_data, xc.diag):
+    for a in (xc.indptr, xc.indices, helpers.h_values(xc), xc.diag):
         h.update(a.tobytes())
     assert n_sets == 5 and h.hexdigest() == digest
 

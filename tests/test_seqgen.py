@@ -282,7 +282,8 @@ def test_mean_offdiagonal_h_energy_anchor(L, tol):
     # (dense); tolerance about 4 sd
     C, M = 1280, 1024
     xc = crosscorrelation(_five_sets(C if L == "dense" else L, 0), 1.0)
-    off = (xc.h_data @ xc.h_data - xc.diag @ xc.diag) / (5 * M)
+    h = helpers.h_values(xc)
+    off = (h @ h - xc.diag @ xc.diag) / (5 * M)
     assert abs(off / ((M - 1) / C) - 1) < tol
 
 
@@ -357,7 +358,7 @@ def test_chip_index_route_at_the_key_dtype_boundary(M, monkeypatch):
     rows = [on_chip[c] for c in chips]  # row k: the columns on k's chip
     assert np.array_equal(xc.indptr, np.cumsum([0] + [r.size for r in rows]))
     assert np.array_equal(xc.indices, np.concatenate(rows))
-    assert np.array_equal(xc.h_data, np.concatenate(
+    assert np.array_equal(helpers.h_values(xc), np.concatenate(
         [signs[k] * signs[r] for k, r in enumerate(rows)]))
 
 
@@ -370,6 +371,36 @@ def test_chip_index_route_holds_no_idle_slots():
     assert (occ * occ).sum() > 1.05 * xc.nnz  # so there were idle slots
     for a in (xc.indices, xc.h_data):
         assert a.size == xc.nnz and a.base is None
+
+
+def test_sparse_h_holds_int8_sign_sums_over_l():
+    # a sparse A = 1 H keeps its sign sums n in int8 over den = L, by both
+    # routes (gather at M = 64, L = 3): 5 bytes an entry with its int32
+    # column, where doubles took 12.  The dense route and A != 1 keep
+    # doubles over den = 1
+    for M, L in ((64, 1), (64, 3), (1024, 16)):
+        S = gen_sparse_matrix(int(M / 0.8), M, L, [rng_for(1), rng_for(2)])
+        assert _routes(S)[2] == (L == 3)
+        xc = crosscorrelation(S, 1.0)
+        assert xc.h_data.dtype == np.int8 and xc.den == L
+        assert xc.indices.nbytes + xc.h_data.nbytes == 5 * xc.nnz
+        weighted = crosscorrelation(S, rng_for(M).uniform(0.5, 2.0, M))
+        assert weighted.h_data.dtype == np.float64 and weighted.den == 1
+    for L in (50, 80):  # 2L > C, and dense
+        xc = crosscorrelation(gen_sparse_matrix(80, 64, L, rng_for(L)), 1.0)
+        assert xc.h_data.dtype == np.float64 and xc.den == 1
+    # sums over 2^7 chips or more take int16
+    xc = crosscorrelation(gen_sparse_matrix(256, 8, 128, rng_for(4)), 1.0)
+    assert xc.h_data.dtype == np.int16 and xc.den == 128
+
+
+def test_row_indices_are_checked():
+    # as block indices are: a negative, float or past-the-end row is refused
+    xc = crosscorrelation(gen_sparse_matrix(20, 16, 3, rng_for(0)), 1.0)
+    assert xc.row(15)[0].size and xc.row(np.int64(0))[0].size
+    for k in (-1, 16, 1.0, True):
+        with pytest.raises(ValueError, match=r"row must .* in \[0, 16\)"):
+            xc.row(k)
 
 
 @pytest.mark.parametrize("buffer", [1, 1000, 1 << 20])
@@ -584,7 +615,9 @@ def test_routes_keep_a_cancelled_entry():
         assert np.array_equal(u, v)
     indptr, indices, r_data = by_gather
     assert indices.tolist() == [0, 1, 0, 1]
-    assert r_data.tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert r_data.tolist() == [2, 0, 0, 2]  # sign sums over L = 2
+    xc = crosscorrelation(S, 1.0)
+    assert helpers.h_values(xc).tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_identical_columns_give_unit_crosscorrelation():
