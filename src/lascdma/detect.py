@@ -46,7 +46,9 @@ all-bit step having flipped) share one sequential run, and each still
 reports its own counters.  A row's result does not depend on the other
 rows of its batch.  The sequential phase keeps no violator bookkeeping: it
 finds each row's next violator by testing the next _WINDOW bits from the
-row's cursor, for all rows at once.
+row's cursor, for all rows at once.  Every flip updates g through
+CrossCorr.add_rows, an all-bit step's one bit per row at a time in
+ascending order; the kernel never reads how H is stored.
 
 Bit vectors are int8 arrays over {-1,+1}.  Detector runs are single-threaded
 over immutable (y, H, A); many runs may share one crosscorrelation.
@@ -73,6 +75,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("sequential", "parallel", "hybrid"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.parallel_steps != 0 and self.kind != "hybrid":
+            raise ValueError("only a hybrid schedule takes parallel_steps")
 
     @classmethod
     def sequential(cls):
@@ -170,6 +174,8 @@ class _Lockstep:
             raise ValueError("y, amplitudes and b0 must all have length M")
         if not np.all(np.abs(b0) == 1):
             raise ValueError("initial bits must be +/-1")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         if not np.all((A > 0) & np.isfinite(A)):  # the MF-start identity's A > 0
             raise ValueError("amplitudes must be positive and finite")
         self.problem = problem = _indices(
@@ -192,14 +198,10 @@ class _Lockstep:
             raise ValueError("n_prime must be in [0, 2**63)")
         self.n_prime = np.broadcast_to(n_prime.astype(np.int64), (K,))
         self.max_passes = np.broadcast_to(max_passes.astype(np.int64), (K,))
-        self.Mp = Mp = M + _WINDOW
+        Mp = M + _WINDOW
         self.y, self.A, self.xc = y, A, xcorr
         g0 = A * y - xcorr.h_matvec(b0, hblock)
         self.blk = blk = hblock[problem]
-        self.full = xcorr.full_blocks[blk]
-        # windows[i] is h_data[i:i + M]: a full row from its first entry
-        self.windows = np.lib.stride_tricks.sliding_window_view(
-            xcorr.h_data, M)
         self.B = np.zeros((K, Mp), dtype=np.int8)
         self.G = np.zeros((K, Mp))
         self.NT = np.zeros((K, Mp))
@@ -216,73 +218,45 @@ class _Lockstep:
         self.flip_log = [] if record_flips else None
         self.hooked = record_flips or check_gradient
 
-    def _after_flips(self, row, flipped):
-        if self.flip_log is not None:
-            self.flip_log.append((int(self.steps[row]),
-                                  tuple(int(i) for i in flipped)))
-        if self.check_gradient:
-            p = self.problem[row]
-            direct = initial_gradient(self.B[row, :self.M], self.y[p],
-                                      self.xc.block(self.blk[row]), self.A)
-            err = float(np.max(np.abs(self.G[row, :self.M] - direct)))
-            if err > 1e-9:
-                raise AssertionError(
-                    f"incremental gradient drifted from recomputation by {err:.3e}"
-                )
-
-    def _columns(self, rows, ks, c):
-        """c[i] times the H column ks[i] of row rows[i]'s block, for every
-        i, one after the other: (column indices, values, entries per i)."""
-        s = self.blk[rows] * self.M + ks  # row of the stack
-        lo = self.xc.indptr[s]
-        n = self.xc.indptr[s + 1] - lo
-        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        return (self.xc.indices[at],
-                self.xc._times(np.repeat(c, n), self.xc.h_data[at]), n)
+    def _after_flips(self, rows, ks):
+        """Log and check one flip event per row: its flips ks[rows == r]."""
+        for r in dict.fromkeys(rows.tolist()):
+            if self.flip_log is not None:
+                self.flip_log.append((int(self.steps[r]),
+                                      tuple(ks[rows == r].tolist())))
+            if self.check_gradient:
+                direct = initial_gradient(
+                    self.B[r, :self.M], self.y[self.problem[r]],
+                    self.xc.block(self.blk[r]), self.A)
+                err = float(np.max(np.abs(self.G[r, :self.M] - direct)))
+                if err > 1e-9:
+                    raise AssertionError(f"incremental gradient drifted from "
+                                         f"recomputation by {err:.3e}")
 
     def _flip_each(self, rows, ks):
         """Flip bit ks[i] of row rows[i]; rows are distinct."""
         c = 2.0 * self.B[rows, ks]  # pre-flip values drive the update
         self.B[rows, ks] = -self.B[rows, ks]
         self.flips[rows] += 1
-        full = self.full[rows]
-        if full.any():  # full H rows are contiguous: update whole rows
-            fr, fk = rows[full], ks[full]
-            self.G[fr, :self.M] += self.xc._times(c[full, None], self.windows[
-                self.xc.indptr[self.blk[fr] * self.M + fk]])
-            self.additions[fr] += self.M
-        if not full.all():
-            sr, sk = rows[~full], ks[~full]
-            cols, vals, lens = self._columns(sr, sk, c[~full])
-            self.additions[sr] += lens
-            at = np.repeat(sr * self.Mp, lens) + cols  # flat (row, column)
-            # distinct rows repeat no (row, column); np.add.at measured
-            # faster here than a gather, add and scatter
-            np.add.at(self.G.reshape(-1), at, vals)
-        if self.hooked:
-            for r, k in zip(rows.tolist(), ks.tolist()):
-                self._after_flips(r, (k,))
+        self.additions[rows] += self.xc.add_rows(
+            self.G, rows, self.blk[rows] * self.M + ks, c)
 
-    def set_step(self, rows, thresholds):
-        """One all-bit update step of each row, with thresholds broadcast
-        against (rows, M).  Flips use the pre-step bits and add into g in
-        ascending bit order.  Returns which rows flipped anything."""
-        hit = self.B[rows, :self.M] * self.G[rows, :self.M] < -thresholds
+    def set_step(self, rows):
+        """One all-bit update step of each row, thresholds sum_j |H_kj| of
+        its block; returns which rows flipped anything.  Round j flips each
+        row's j-th violator: its bit still holds the pre-step value, and
+        every gradient entry takes its additions in ascending bit order."""
+        t = self.xc.abs_row_sums.reshape(-1, self.M)[self.blk[rows]]
+        hit = self.B[rows, :self.M] * self.G[rows, :self.M] < -t
         self.steps[rows] += 1
         self.passes[rows] += 1
         ri, k = np.nonzero(hit)
-        if ri.size:
-            r = rows[ri]
-            c = 2.0 * self.B[r, k]
-            cols, vals, lens = self._columns(r, k, c)
-            np.add.at(self.G.reshape(-1), np.repeat(r * self.Mp, lens) + cols,
-                      vals)
-            self.B[r, k] = -self.B[r, k]
-            np.add.at(self.additions, r, lens)
-            np.add.at(self.flips, r, 1)
-            if self.hooked:
-                for i in np.unique(ri):
-                    self._after_flips(rows[i], k[ri == i])
+        j = np.arange(ri.size) - np.searchsorted(ri, ri)  # rank in its row
+        for i in range(j.max() + 1 if j.size else 0):
+            at = j == i
+            self._flip_each(rows[ri[at]], k[at])
+        if self.hooked:
+            self._after_flips(rows[ri], k)
         return hit.any(axis=1)
 
     def sequential(self, rows, cycles):
@@ -326,9 +300,11 @@ class _Lockstep:
             converged[live[act[fits & clean]]] = True
             flip = fits & found
             if flip.any():
-                fa = act[flip]
+                fa, ks = act[flip], pa[flip] + j[flip]
                 self.steps[r[fa]] = base[fa] + used[fa]
-                self._flip_each(r[fa], pa[flip] + j[flip])
+                self._flip_each(r[fa], ks)
+                if self.hooked:
+                    self._after_flips(r[fa], ks)
             pos[act] = (pa + step) % M
             gap[act] = np.where(found, 0, ga)
             act = act[fits & ~clean]
@@ -354,8 +330,7 @@ def _ascend(st, rows):
     todo = rows[left > 0]
     left = left[left > 0]
     while todo.size:  # |H| row sums are built for the first all-bit step
-        row_sums = st.xc.abs_row_sums.reshape(-1, st.M)
-        moved = st.set_step(todo, row_sums[st.blk[todo]])
+        moved = st.set_step(todo)
         left -= 1
         keep = moved & (left > 0)
         todo, left = todo[keep], left[keep]
@@ -426,33 +401,23 @@ def las_run(y, xcorr, amplitudes, schedule, b0, max_passes=100,
                    record_flips, check_gradient)
     row = np.zeros(1, dtype=np.int64)
     # the initial gradient, and one pass of |H| row sums for all-bit steps
-    overhead = xcorr.nnz * (1 if schedule.kind == "sequential" else 2)
+    overhead = xcorr.nnz * (
+        2 if schedule.kind == "parallel" or schedule.parallel_steps else 1)
 
     if schedule.kind != "parallel":
         converged = _ascend(st, row)[0]
     else:
         converged = False
-        while st.passes[0] < max_passes:
-            if st.set_step(row, xcorr.abs_row_sums)[0]:
-                continue
-            # empty all-bit step: verify with one sequential cycle, and
-            # resume all-bit stepping if the stricter thresholds flipped
-            if st.passes[0] >= max_passes:
-                break
-            if st.sequential(row, np.ones(1, dtype=np.int64))[0]:
-                converged = True
-                break
-
+        while not converged and st.passes[0] < max_passes:
+            # an empty all-bit step is verified by one sequential cycle, and
+            # all-bit stepping resumes if its stricter thresholds flipped
+            if not st.set_step(row)[0] and st.passes[0] < max_passes:
+                converged = st.sequential(row, np.ones(1, dtype=np.int64))[0]
     return DetectorRun(
-        bits=st.B[0, :st.M].astype(np.int8),
-        converged=bool(converged),
-        steps=int(st.steps[0]),
-        flips=int(st.flips[0]),
-        additions=int(st.additions[0]),
-        passes=int(st.passes[0]),
-        overhead_additions=overhead,
-        flip_log=st.flip_log,
-    )
+        bits=st.B[0, :st.M].astype(np.int8), converged=bool(converged),
+        steps=int(st.steps[0]), flips=int(st.flips[0]),
+        additions=int(st.additions[0]), passes=int(st.passes[0]),
+        overhead_additions=overhead, flip_log=st.flip_log)
 
 
 def slas_detect(y, xcorr, amplitudes, b0, max_passes=100, **kwargs):

@@ -558,8 +558,8 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     over the config's SNR list, L outermost.  Every point is validated
     before any runs: an infeasible one becomes a failure ("L=...,M=...",
     InfeasibleError) and the rest still run; any other ConfigError raises,
-    as does a list that repeats a value (both copies would run on one trial
-    stream).
+    as does a list that repeats a value or two points that resolve to one
+    (M, C, L) (both would run on one trial stream).
     A point whose run cannot allocate its arrays (MemoryError) is a failure
     too, and writes no rows.
     """
@@ -568,7 +568,7 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     for name, values in (("bk_list", bk_list), ("l_list", l_list)):
         if values and len(set(values)) < len(values):
             raise ConfigError(f"{name} repeats a value: {values!r}")
-    points, failures = [], []
+    points, failures, streams = [], [], {}
     for L in l_list or (config.L,):
         for M in bk_list or (config.M,):
             point = replace(config, L=L, M=M)
@@ -576,8 +576,14 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
                 point.validate()
             except InfeasibleError as e:
                 failures.append((f"L={L},M={M}", e))
-            else:
-                points.append(point)
+                continue
+            key = (M, point.C, point.resolved_L())
+            if key in streams:
+                raise ConfigError(
+                    f"grid points {streams[key]} and L={L},M={M} share one "
+                    f"trial stream (M={M}, C={key[1]}, L={key[2]})")
+            streams[key] = f"L={L},M={M}"
+            points.append(point)
     rows = []
     for point in points:
         try:

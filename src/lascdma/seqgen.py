@@ -170,7 +170,8 @@ class CrossCorr:
     columns).  A sparse H with A = 1 holds sign sums n (int8 while L < 2^7,
     int16 below 2^15) over den = L, 5 bytes an entry with its column; other
     H hold doubles over den = 1.  Readers divide sums where they read and
-    take doubles untouched: each value reads as the rounded n/L.  A
+    take doubles untouched: each value reads as the rounded n/L, in the
+    LAS kernel's gradient updates too (add_rows).  A
     stack of B blocks has B*M rows, block b's at offset b*M, and column
     indices local to the block.  Structural entries are exactly the column
     pairs sharing chip support, including any whose value cancels to 0.0.
@@ -218,6 +219,33 @@ class CrossCorr:
         elif self.den > 1:
             v *= 1 / self.den
         return v
+
+    @cached_property
+    def _spans(self):  # _spans[i] is h_data[i:i + M], a view
+        return np.lib.stride_tricks.sliding_window_view(self.h_data, self.n_bits)
+
+    def add_rows(self, G, dst, rows, c):
+        """G[dst[i]] += c[i] H[rows[i]] for each i: a gradient's update for
+        flipped bits, c = +/-2.  dst are distinct rows of the C-contiguous
+        2-D G, rows are rows of the stack; returns each row's entry count.
+        A row of M entries (columns 0..M-1) is added as one span, others
+        entry by entry."""
+        M = self.n_bits
+        lo = self.indptr[rows]
+        n = self.indptr[rows + 1] - lo
+        full = n == M
+        if full.any():
+            G[dst[full], :M] += self._times(c[full, None],
+                                            self._spans[lo[full]])
+        if not full.all():
+            s, k = ~full, n[~full]
+            at = np.repeat(lo[s] - (np.cumsum(k) - k), k) + np.arange(k.sum())
+            # distinct rows repeat no (row, column); np.add.at measured
+            # faster here than a gather, add and scatter
+            np.add.at(G.reshape(-1),
+                      np.repeat(dst[s] * G.shape[1], k) + self.indices[at],
+                      self._times(np.repeat(c[s], k), self.h_data[at]))
+        return n
 
     def block(self, b):
         """Block b of the stack as a CrossCorr of its own (views), H alone:

@@ -448,6 +448,9 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
     # both copies of a grid point would run on one trial stream
     ("bk_list=64,64", "bk_list repeats a value: (64, 64)"),
     ("l_list=4,4", "l_list repeats a value: (4, 4)"),
+    # L = 80 is dense at M = 64, C = 80: one (M, C, L) point twice
+    ("l_list=80,dense", "grid points L=80,M=64 and L=dense,M=64 share one "
+                        "trial stream (M=64, C=80, L=80)"),
 ])
 def test_bad_value_exits_2_with_a_message(tmp_path, capsys, override, message):
     out = tmp_path / "x.csv"

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,13 +238,15 @@ def test_additions_accounting_matches_flip_log():
         rng = np.random.default_rng(seed)
         _, xc, A, _, y = helpers.make_instance(rng, 24, 0.8, 4, 5.0)
         nnz_col = np.diff(xc.indptr)
-        for schedule in (Schedule.sequential(), Schedule.hybrid(3)):
+        # hybrid(0) is sequential and builds no |H| row sums
+        for schedule, passes_of_nnz in (
+                (Schedule.sequential(), 1), (Schedule.hybrid(0), 1),
+                (Schedule.hybrid(3), 2), (Schedule.parallel(), 2)):
             run = las_run(y, xc, A, schedule, mf_detect(y), record_flips=True)
             assert run.converged
             recount = sum(int(nnz_col[k]) for _, fl in run.flip_log for k in fl)
             assert run.additions == recount
-            expected_overhead = xc.nnz if schedule.kind == "sequential" else 2 * xc.nnz
-            assert run.overhead_additions == expected_overhead
+            assert run.overhead_additions == passes_of_nnz * xc.nnz
 
 
 def test_gradient_consistency_incremental_vs_recompute():
@@ -918,6 +922,91 @@ def test_every_reader_gives_the_same_doubles(case):
                 check_gradient=True) for h in (ref.block(b), alone)))
 
 
+def _add_rows_case(case):
+    """A CrossCorr for test_add_rows_equals_a_per_entry_loop and the dtype
+    of its h_data."""
+    M, A = 40, np.ones(40)
+    if case == "unequal":
+        A = np.random.default_rng(2).uniform(0.5, 2.0, M)
+    if case == "cancelled":  # rows 0 and 1 full, with n_01 = 0; 2, 3 not
+        S = SequenceMatrix(8, 4, [[0, 1], [0, 1], [1, 2], [0, 3]],
+                           [[1, 1], [1, -1], [1, 1], [1, 1]])
+        return crosscorrelation(S, 1.0), np.int8
+    L = {"L16": 16, "L12": 12, "L3": 3, "unequal": 3, "dense": 50}[case]
+    _, xc = _stacked_h(30 + L, 50, M, L, A, full=[] if L == 50 else [1])
+    return xc, np.float64 if case in ("unequal", "dense") else np.int8
+
+
+@pytest.mark.parametrize("case", ["L16", "L12", "L3", "dense", "unequal",
+                                  "cancelled"])
+def test_add_rows_equals_a_per_entry_loop(case):
+    # full rows (one span) and sparse rows (a gather) in one call, stack
+    # rows repeated, into distinct gradient rows holding +0.0 and -0.0:
+    # each entry's c (v / den), added one entry at a time
+    xc, dtype = _add_rows_case(case)
+    assert xc.h_data.dtype == dtype
+    rng = np.random.default_rng(len(case))
+    n_rows = xc.indptr.size - 1
+    rows = rng.integers(0, n_rows, max(3 * n_rows, 64))
+    counts = np.diff(xc.indptr)[rows]
+    full = counts == xc.n_bits
+    assert full.any() and (case == "dense") == full.all()
+    G = rng.standard_normal((rows.size + 3, xc.n_bits + 5))
+    G[rng.random(G.shape) < 0.3] = 0.0
+    G[rng.random(G.shape) < 0.3] = -0.0
+    dst = rng.permutation(len(G))[:rows.size]
+    c = rng.choice([-2.0, 2.0], rows.size)
+    ref = G.copy()
+    for d, r, ci in zip(dst, rows, c):
+        for e in range(xc.indptr[r], xc.indptr[r + 1]):
+            ref[d, xc.indices[e]] += ci * (xc.h_data[e] / xc.den)
+    assert xc.add_rows(G, dst, rows, c).tolist() == counts.tolist()
+    _assert_same_doubles(ref, G)
+
+
+def test_an_all_bit_step_flips_as_one_bit_at_a_time():
+    # two rows, one on a sparse block and one on a full block, each with
+    # several violators: the step equals flipping them one at a time in
+    # ascending bit order, from the pre-step bits
+    M, A = 40, np.ones(40)
+    _, xc = _stacked_h(6, 50, M, 3, A, full=[1])
+    rng = np.random.default_rng(6)
+    block = np.array([0, 1])
+    b = rng.integers(0, 2, (2, M)).astype(np.int8) * 2 - 1
+    y = 10 * xc.h_matvec(b, block)
+    b0 = b * np.where(rng.random((2, M)) < 0.3, -1, 1).astype(np.int8)
+    step, ref = (detect._Lockstep(y, xc, A, b0, None, block, 1, 100,
+                                  record_flips=True) for _ in range(2))
+    rows = np.arange(2)
+    assert step.set_step(rows).all()
+    assert [r for r, _ in step.flip_log] == [1, 1]
+    for r, (_, ks) in enumerate(step.flip_log):
+        assert len(ks) > 1 and list(ks) == sorted(ks)
+        for k in ks:
+            ref._flip_each(np.array([r]), np.array([k]))
+    _assert_same_doubles(ref.G, step.G)
+    assert np.array_equal(ref.B, step.B)
+    nnz = np.diff(xc.indptr).reshape(-1, M)[block]
+    assert step.additions.tolist() == ref.additions.tolist() == [
+        int(nnz[r, list(ks)].sum()) for r, (_, ks) in enumerate(step.flip_log)]
+    assert step.flips.tolist() == ref.flips.tolist() == [
+        len(ks) for _, ks in step.flip_log]
+    # and las_run logs the step as one event, its gradient checked
+    run = las_run(y[1], xc.block(1), A, Schedule.hybrid(1), b0[1],
+                  record_flips=True, check_gradient=True)
+    assert run.flip_log[0] == step.flip_log[1]
+
+
+def test_the_kernel_reads_no_h_storage():
+    # H's storage (sign sums over a divisor, CSR rows, full blocks) is
+    # seqgen's: detect reaches H through CrossCorr's methods only
+    tree = ast.parse(Path(detect.__file__).read_text(encoding="utf-8"))
+    storage = {"h_data", "indices", "indptr", "den", "_times", "full_blocks"}
+    read = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)} & storage)
+    assert read == []
+
+
 def test_block_indices_are_checked_where_they_are_read():
     _, xc = _stacked_h(4, 50, 40, 3, np.ones(40))
     X = np.ones((2, 40))
@@ -950,6 +1039,16 @@ def test_las_input_validation():
         slas_detect(y, xc, A, np.array([1], dtype=np.int8), max_passes=0)
     with pytest.raises(ValueError):
         Schedule("bogus")
+    # only hybrid schedules take all-bit steps ("sequential", 5 ran five)
+    for kind, steps in (("sequential", 5), ("parallel", 7), ("sequential", -1)):
+        with pytest.raises(ValueError, match="only a hybrid schedule"):
+            Schedule(kind, steps)
+    for bad in (np.nan, np.inf, -np.inf):  # an all-NaN y "converged" at MF
+        y_bad = np.array([bad])
+        with pytest.raises(ValueError, match="y must be finite"):
+            slas_detect(y_bad, xc, A, np.array([1], dtype=np.int8))
+        with pytest.raises(ValueError, match="y must be finite"):
+            las_lockstep(y_bad[None], xc, A, np.ones((1, 1)), 10)
     for problem in ([-1], [0.5], [1]):  # integers in [0, 1) only
         with pytest.raises(ValueError):
             las_lockstep(y[None], xc, A, np.ones((1, 1)), 0, problem=problem)
