@@ -307,7 +307,8 @@ def _build_parser():
     common.add_argument("--out", help="CSV output path (default <command>.csv)")
     common.add_argument("--seed", type=int, help="override the experiment seed")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel trial workers (output is identical for any N)")
+                        help="parallel trial workers, at most one per usable core "
+                             "(output is identical for any N)")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
     common.add_argument("--dump-config", metavar="PATH",

@@ -31,7 +31,9 @@ from .detect import (
     mf_detect,
     MAX_EXHAUSTIVE_BITS,
 )
-from .seqgen import SequenceMatrix, crosscorrelation, gen_sparse_matrix
+from .seqgen import (
+    SequenceMatrix, _usable_cores, crosscorrelation, gen_sparse_matrix,
+)
 
 DETECTOR_ORDER = ("MF", "SLAS", "WSLAS", "GML")
 LML_DETECTORS = ("SLAS", "WSLAS")
@@ -366,22 +368,79 @@ def _group_size(ctx):
 
 def _run_trials(ctx, items):
     """Build and detect the trials [(set index, trial index), ...] as one
-    lockstep group, a pool task, and return _detect's counts, one entry per
-    trial, in order.  _run_point cuts batches into groups of _group_size; a
-    trial's result does not depend on its group."""
+    lockstep group and return _detect's counts, one entry per trial, in
+    order.  _run_point cuts batches into groups of _group_size, and a pool
+    task is one group; a trial's result does not depend on its group, its
+    worker or the order groups run in."""
     return _detect(ctx, *_build(ctx, items))
 
 
-_WORKER_CTX = None
+_WORKER_SETS = None  # (sets, xcorr) a worker inherited at its fork
 
 
-def _worker_init(ctx):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+def _worker_init(sets, xcorr):
+    global _WORKER_SETS
+    _WORKER_SETS = sets, xcorr
 
 
-def _worker_trials(items):
-    return _run_trials(_WORKER_CTX, items)
+def _worker_trials(task):
+    ctx, items = task
+    sets, xcorr = _WORKER_SETS
+    return _run_trials(replace(ctx, sets=sets, xcorr=xcorr), items)
+
+
+class _Pool:
+    """One command's worker pool, of min(workers, usable cores) processes.
+
+    A batch of one lockstep group, or any batch when that count is 1, runs
+    in the calling process.  The pool forks at the first batch of two
+    groups or more, and serves every later point with the same fixed sets
+    (all per-transmission points have none): each task is the point's
+    context without its sets, and one group.  A point with other fixed sets
+    forks a new pool, so its workers inherit H copy-on-write.  Used as a
+    context manager: the pool is joined on return, terminated on an error.
+    """
+
+    def __init__(self, workers):
+        if workers < 1:
+            raise ConfigError("workers must be >= 1")
+        self.processes = min(workers, _usable_cores())
+        self._pool = self._sets = None
+
+    def run(self, ctx, groups):
+        """_run_trials of every group, in order."""
+        if self.processes == 1 or len(groups) == 1:
+            return [_run_trials(ctx, g) for g in groups]
+        if self._pool is None or self._sets is not ctx.sets:
+            self.close()
+            # workers fill the cores, so they fork with one BLAS thread
+            # each: with one per core, per-tx points' products thrashed
+            blas = _blas_threads(1)
+            try:
+                self._pool = multiprocessing.Pool(
+                    self.processes, initializer=_worker_init,
+                    initargs=(ctx.sets, ctx.xcorr))
+            finally:
+                if blas:
+                    _blas_threads(blas)
+            self._sets = ctx.sets
+        bare = replace(ctx, sets=None, xcorr=None)
+        return self._pool.map(_worker_trials, [(bare, g) for g in groups],
+                              chunksize=1)
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.close()
+            self._pool.join()
+            self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, trace):
+        if kind is not None and self._pool is not None:
+            self._pool.terminate()
+        self.close()
 
 
 def _blas_threads(n):
@@ -480,7 +539,9 @@ def _point_rows(config, ctx, n_sets, tally, trials_done, censored):
     return rows
 
 
-def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
+def _run_point(config, snr_db, pool, n_sets, sets, xcorr):
+    """Run one SNR point of config, its groups on the command's _Pool, and
+    return its rows."""
     M, C, L = config.M, config.C, config.resolved_L()
     detectors = config.normalized_detectors()
     amplitudes = np.ones(M)
@@ -501,35 +562,19 @@ def _run_point(config, snr_db, workers, n_sets, sets, xcorr):
     bits_per_round = M * n_sets
     size = _group_size(ctx)  # trials per lockstep group and per pool task
 
-    blas = pool = None
-    try:
-        while True:
-            errs = tally[:, :, 0].sum(axis=0).tolist()
-            if 0 < config.min_bit_errors <= min(errs):
-                break
-            n = _next_batch_trials(config, bits_per_round, trials_done, errs)
-            if n == 0:
-                break
-            batch_args = [(s, t) for s in range(n_sets)
-                          for t in range(trials_done, trials_done + n)]
-            groups = [batch_args[i:i + size]
-                      for i in range(0, len(batch_args), size)]
-            if workers > 1 and len(groups) > 1 and pool is None:
-                # workers fill the cores, so they fork with one BLAS thread
-                # each: with one per core, per-tx points' products thrashed
-                blas = _blas_threads(1)
-                pool = multiprocessing.Pool(workers, initializer=_worker_init,
-                                            initargs=(ctx,))
-            counts = (pool.map(_worker_trials, groups) if pool and len(groups) > 1
-                      else [_run_trials(ctx, g) for g in groups])
-            np.add.at(tally, [s for s, _ in batch_args], np.concatenate(counts))
-            trials_done += n
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-        if blas:
-            _blas_threads(blas)
+    while True:
+        errs = tally[:, :, 0].sum(axis=0).tolist()
+        if 0 < config.min_bit_errors <= min(errs):
+            break
+        n = _next_batch_trials(config, bits_per_round, trials_done, errs)
+        if n == 0:
+            break
+        batch_args = [(s, t) for s in range(n_sets)
+                      for t in range(trials_done, trials_done + n)]
+        counts = pool.run(ctx, [batch_args[i:i + size]
+                                for i in range(0, len(batch_args), size)])
+        np.add.at(tally, [s for s, _ in batch_args], np.concatenate(counts))
+        trials_done += n
 
     # errs is current: the loop leaves only right after computing it
     censored = 0 < config.min_bit_errors and min(errs) < config.min_bit_errors
@@ -542,12 +587,16 @@ def run_experiment(config, workers=1):
     Fixed sets are drawn once and serve every SNR point.
     """
     config.validate()
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    with _Pool(workers) as pool:
+        return _run_config(config, pool)
+
+
+def _run_config(config, pool):
+    """run_experiment of a validated config, on the command's _Pool."""
     n_sets, sets, xcorr = _resolve_sets(config)
     rows = []
     for snr in config.snr_points():
-        rows.extend(_run_point(config, snr, workers, n_sets, sets, xcorr))
+        rows.extend(_run_point(config, snr, pool, n_sets, sets, xcorr))
     return rows
 
 
@@ -561,10 +610,9 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
     as does a list that repeats a value or two points that resolve to one
     (M, C, L) (both would run on one trial stream).
     A point whose run cannot allocate its arrays (MemoryError) is a failure
-    too, and writes no rows.
+    too, and writes no rows.  All points share one worker pool (see _Pool).
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    pool = _Pool(workers)
     for name, values in (("bk_list", bk_list), ("l_list", l_list)):
         if values and len(set(values)) < len(values):
             raise ConfigError(f"{name} repeats a value: {values!r}")
@@ -585,13 +633,14 @@ def sweep(config, bk_list=None, l_list=None, workers=1):
             streams[key] = f"L={L},M={M}"
             points.append(point)
     rows = []
-    for point in points:
-        try:
-            rows.extend(run_experiment(point, workers))
-        except MemoryError as e:
-            refused = str(e) or "out of memory"
-            failures.append((f"L={point.L},M={point.M}", InfeasibleError(
-                f"C = round(M/alpha) = {point.C}: {refused}")))
+    with pool:
+        for point in points:
+            try:
+                rows.extend(_run_config(point, pool))
+            except MemoryError as e:
+                refused = str(e) or "out of memory"
+                failures.append((f"L={point.L},M={point.M}", InfeasibleError(
+                    f"C = round(M/alpha) = {point.C}: {refused}")))
     return rows, failures
 
 

@@ -213,7 +213,8 @@ class CrossCorr:
         """c = +/-2 times the entries v of h_data as H's doubles: c v / den
         is c (v / den), +/-0.0 included, as 2 scales exactly.  For den = 2^e
         c v 2^-e is the same double, and a product is 8x as cheap."""
-        v = c * v
+        v = v.astype(np.float64)  # exact, and half the mixed c * v's cost
+        v *= c
         if self.den & (self.den - 1):
             v /= self.den
         elif self.den > 1:
@@ -385,6 +386,13 @@ def _smallest(u, L, out):
     out[rest] = np.argpartition(u[rest], L, 1)[:, :L]
 
 
+def _usable_cores():
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
     """Draw a random spreading matrix: M columns, L distinct uniform chip
     positions each, independent equiprobable signs.
@@ -436,9 +444,7 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
         split = len({id(g) for g in rngs}) == len(rngs) and all(
             isinstance(g.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
             and not g.bit_generator.state["has_uint32"] for g in rngs)
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        n = min(len(rngs), cores) if split else 1
+        n = min(len(rngs), _usable_cores()) if split else 1
         if n == 1:
             draw(0, len(flat))
         else:  # imported here: at module level it would slow every start-up

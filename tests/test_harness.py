@@ -3,12 +3,14 @@ import dataclasses
 import hashlib
 import io
 import math
+import multiprocessing
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from lascdma import harness, seqgen
+from lascdma import cli, harness, seqgen
 from lascdma.harness import (
     ConfigError,
     ExperimentConfig,
@@ -163,51 +165,83 @@ def test_determinism_same_seed_and_workers():
 
 
 def test_pool_workers_fork_with_one_blas_thread(monkeypatch):
-    # a BLAS thread per core in each worker made per-tx dense points thrash
+    # a BLAS thread per core in each worker made per-tx dense points thrash;
+    # the parent keeps its own count while the pool lives
     before = harness._blas_threads(2)
     if before is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
-    run_trials = harness._run_trials
+    helpers.usable_cores(monkeypatch, 2)
+    parent, alive = os.getpid(), []
+    run_trials, correlate = harness._run_trials, harness.crosscorrelation
 
-    def in_worker(ctx, items):
-        assert harness._blas_threads(1) == 1
+    def unchanged_threads():
+        n = 2 if os.getpid() == parent else 1
+        assert harness._blas_threads(n) == n
+
+    def in_either(ctx, items):
+        unchanged_threads()
         return run_trials(ctx, items)
 
-    monkeypatch.setattr(harness, "_run_trials", in_worker)
-    config = small_config(M=128, L="dense", max_bits=128 * 16)
+    def in_parent(S, A):  # the fixed sets' dense S^T S, after the fork
+        unchanged_threads()
+        alive.append(len(multiprocessing.active_children()))
+        return correlate(S, A)
+
+    monkeypatch.setattr(harness, "_run_trials", in_either)
+    monkeypatch.setattr(harness, "crosscorrelation", in_parent)
+    # M = 128: per-tx, 13-trial groups; M = 256: five fixed dense sets
+    config = small_config(L="dense", max_bits=128 * 16)
     try:
-        pooled = run_experiment(config, workers=2)
+        pooled = sweep(config, bk_list=(128, 256), workers=2)[0]
         assert harness._blas_threads(2) == 2  # the parent's count is back
     finally:
         harness._blas_threads(before)
+    assert alive == [2]
     monkeypatch.undo()
     # the parent's products run on two threads, the workers' on one
-    assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+    assert csv_bytes(pooled) == csv_bytes(sweep(config, bk_list=(128, 256))[0])
 
 
 def _in_process_pool(monkeypatch):
     """Make multiprocessing.Pool run its tasks in this process; returns the
-    lists of the batches it maps and of its context, filled as it runs."""
-    batches, ctxs = [], []
+    lists of the pools it forks, as [process count, inherited sets, closed],
+    and of the batches they map, as (inherited sets, tasks), filled as it
+    runs."""
+    pools, batches = [], []
 
     class InProcess:
-        def __init__(self, workers, initializer, initargs):
+        def __init__(self, processes, initializer, initargs):
             initializer(*initargs)
-            ctxs.extend(initargs)
+            self.record = [processes, initargs[0], False]
+            pools.append(self.record)
 
-        def map(self, fn, tasks):
-            batches.append(tasks)
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 1 and not self.record[2]
+            batches.append((self.record[1], tasks))
             return [fn(task) for task in tasks]
 
         def close(self):
-            pass
+            self.record[2] = True
 
         def join(self):
-            pass
+            assert self.record[2]
 
-    monkeypatch.setattr(harness, "_WORKER_CTX", None)
+    monkeypatch.setattr(harness, "_WORKER_SETS", None)
     monkeypatch.setattr(harness.multiprocessing, "Pool", InProcess)
-    return batches, ctxs
+    return pools, batches
+
+
+def _task_groups(sets, tasks):
+    """The items of a mapped batch's tasks, after checking that each task
+    is one lockstep group of the point, whose context it holds without the
+    fixed sets its pool inherited."""
+    ctx = tasks[0][0]
+    assert all(c.sets is None and c.xcorr is None for c, _ in tasks)
+    size = harness._group_size(dataclasses.replace(ctx, sets=sets))
+    sizes = [len(items) for _, items in tasks]
+    assert sizes[:-1] == [size] * (len(tasks) - 1) and 0 < sizes[-1] <= size
+    assert len(tasks) > 1
+    return [item for _, items in tasks for item in items]
 
 
 @pytest.mark.parametrize("config", [
@@ -219,19 +253,18 @@ def _in_process_pool(monkeypatch):
 ])
 def test_pool_tasks_are_whole_lockstep_groups(monkeypatch, config):
     # each batch is cut once: its tasks are its consecutive lockstep groups
-    batches, ctxs = _in_process_pool(monkeypatch)
+    helpers.usable_cores(monkeypatch, 2)
+    pools, batches = _in_process_pool(monkeypatch)
     pooled = run_experiment(config, workers=2)
-    n_sets = len(ctxs[0].trial_keys)
-    size = harness._group_size(ctxs[0])
+    n_sets = len(batches[0][1][0][0].trial_keys)
     done = 0
+    assert len(pools) == 1 and pools[0][2]
     assert len(batches) == (2 if n_sets == 1 else 1)
-    for tasks in batches:
-        items = [item for task in tasks for item in task]
+    for sets, tasks in batches:
+        items = _task_groups(sets, tasks)
         n = len(items) // n_sets
         assert items == [(s, t) for s in range(n_sets)
                          for t in range(done, done + n)]
-        assert [len(task) for task in tasks[:-1]] == [size] * (len(tasks) - 1)
-        assert len(tasks) == -(-len(items) // size) > 1
         done += n
     monkeypatch.undo()
     assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
@@ -242,14 +275,92 @@ def test_a_batch_of_one_group_forks_no_pool(monkeypatch):
     # run in this process, with no pool to idle in
     config = small_config(M=256, detectors=("MF", "SLAS", "WSLAS"),
                           max_bits=256 * 5 * 8)
-    batches, ctxs = _in_process_pool(monkeypatch)
+    helpers.usable_cores(monkeypatch, 2)
+    pools, batches = _in_process_pool(monkeypatch)
     groups, run_trials = [], harness._run_trials
     monkeypatch.setattr(harness, "_run_trials", lambda ctx, items: (
         groups.append(len(items)) or run_trials(ctx, items)))
     pooled = run_experiment(config, workers=2)
-    assert groups == [40] and batches == [] and ctxs == []
+    assert groups == [40] and batches == [] and pools == []
     monkeypatch.undo()
     assert csv_bytes(pooled) == csv_bytes(run_experiment(config))
+
+
+@pytest.mark.parametrize("bk_list, l_list, sets", [
+    ((16, 32), (4, 8), [None]),  # four per-tx points, eight SNR points
+    ((16, 256, 32), (4,), [None, "fixed", None]),
+])
+def test_one_pool_per_command(monkeypatch, bk_list, l_list, sets):
+    # a pool forks once and serves every later point with the same fixed
+    # sets; a point with other sets forks its own, whose workers inherit them.
+    # Groups of 2^14 entries: per-tx M = 16 and 32 run 12 and 22 groups, and
+    # five fixed sets at M = 256 two, of 32 and 3 items
+    config = small_config(snr_db=[6.0, 8.0], detectors=("MF", "SLAS", "WSLAS"),
+                          max_bits=256 * 5 * 7)
+    monkeypatch.setattr(harness, "_LOCKSTEP_ENTRIES", 1 << 14)
+    helpers.usable_cores(monkeypatch, 2)
+    real_pool = multiprocessing.Pool
+    pools, batches = _in_process_pool(monkeypatch)
+    rows = sweep(config, bk_list, l_list, workers=3)[0]
+    assert [n for n, _, _ in pools] == [2] * len(sets)
+    assert [s if s is None else "fixed" for _, s, _ in pools] == sets
+    assert all(closed for _, _, closed in pools)
+    assert len(batches) == 2 * len(bk_list) * len(l_list)
+    for inherited, tasks in batches:
+        _task_groups(inherited, tasks)
+    monkeypatch.setattr(multiprocessing, "Pool", real_pool)
+    alone = csv_bytes(sweep(config, bk_list, l_list)[0])
+    assert csv_bytes(rows) == alone
+    for workers in (2, 3):
+        assert csv_bytes(sweep(config, bk_list, l_list, workers)[0]) == alone
+    assert multiprocessing.active_children() == []
+
+
+def test_no_more_pool_processes_than_usable_cores(monkeypatch, tmp_path):
+    # --workers 10000 on two cores asks for two processes
+    helpers.usable_cores(monkeypatch, 2)
+    pools, batches = _in_process_pool(monkeypatch)
+    argv = ["fig1", "--set", "bk_list=64", "--set", "l_list=4",
+            "--set", "detectors=MF", "--set", "min_bit_errors=0",
+            "--set", "max_bits=8192", "--workers", "10000",
+            "--out", str(tmp_path / "fig1.csv")]
+    assert cli.main(argv) == 0
+    assert [n for n, _, _ in pools] == [2] and len(batches) == 1
+
+
+def test_no_worker_outlives_a_command(monkeypatch):
+    helpers.usable_cores(monkeypatch, 2)
+    # per-tx M = 64 and 128, dense: 3 and 5 lockstep groups
+    config = small_config(L="dense", max_bits=128 * 64)
+    sweep(config, bk_list=(64, 128), workers=2)
+    assert multiprocessing.active_children() == []
+
+    # a point that cannot allocate is a failure; the sweep goes on, on the
+    # pool the point before it forked
+    resolve, alive = harness._resolve_sets, []
+
+    def refuse_m96(point):
+        if point.M == 96:
+            alive.append(len(multiprocessing.active_children()))
+            raise MemoryError
+        return resolve(point)
+    monkeypatch.setattr(harness, "_resolve_sets", refuse_m96)
+    rows, failures = sweep(config, bk_list=(64, 96, 128), workers=2)
+    assert alive == [2] and [f for f, _ in failures] == ["L=dense,M=96"]
+    assert {r.M for r in rows} == {64, 128}
+    assert multiprocessing.active_children() == []
+
+    # an error inside a worker terminates the pool
+    parent, run_trials = os.getpid(), harness._run_trials
+
+    def fail_in_worker(ctx, items):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return run_trials(ctx, items)
+    monkeypatch.setattr(harness, "_run_trials", fail_in_worker)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_experiment(dataclasses.replace(config, M=128), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_fixed_sets_same_bytes_on_two_workers():
@@ -430,8 +541,8 @@ def test_sweep_bk_collects_infeasible_points():
 
 def test_sweep_validates_every_point_before_running_any(monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "run_experiment",
-                        lambda config, workers: calls.append(config.M) or [])
+    monkeypatch.setattr(harness, "_run_config",
+                        lambda config, pool: calls.append(config.M) or [])
     cfg = small_config()
     with pytest.raises(ConfigError, match="M must be >= 1"):
         sweep(cfg, bk_list=(64, 0))
