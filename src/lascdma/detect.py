@@ -157,11 +157,12 @@ class _Lockstep:
     hblock None is np.arange(n_blocks), one problem per block.  It has
     n_prime[r] all-bit steps and a budget of max_passes[r] passes; rows of
     one problem share its initial gradient.  Rows stay in the caller's
-    order, and any row order is exact.  Bits, gradients and negated H
-    diagonals are (K, Mp) arrays, Mp = M + _WINDOW, so that a window
-    starting at any bit fits; the padding's bits are 0, and it never
-    violates.  The debug switches of las_run act per flip event; only
-    las_run sets them, with K = 1.
+    order, and any row order is exact.  Bits and gradients are (K, Mp)
+    arrays, Mp = M + _WINDOW, so that a window starting at any bit fits;
+    thresholds -H_kk are read at block * M + bit of the stack's -diag,
+    padded by _WINDOW zeros.  Padding bits are 0, so a window past bit
+    M - 1 never violates.  The debug switches of las_run act per flip
+    event; only las_run sets them, with K = 1.
     """
 
     def __init__(self, y, xcorr, amplitudes, b0, problem, hblock, n_prime,
@@ -201,17 +202,16 @@ class _Lockstep:
         Mp = M + _WINDOW
         self.y, self.A, self.xc = y, A, xcorr
         g0 = A * y - xcorr.h_matvec(b0, hblock)
-        self.blk = blk = hblock[problem]
+        self.blk = hblock[problem]
         self.B = np.zeros((K, Mp), dtype=np.int8)
         self.G = np.zeros((K, Mp))
-        self.NT = np.zeros((K, Mp))
         self.B[:, :M] = b0[problem]
         self.G[:, :M] = g0[problem]
-        self.NT[:, :M] = -xcorr.diag.reshape(-1, M)[blk]
-        # [row, k] is bits k to k + _WINDOW - 1 of the row
+        # [row, k] is bits k to k + _WINDOW - 1 of the row, NTw[blk * M + k]
+        # their thresholds
         self.Bw, self.Gw, self.NTw = (
-            np.lib.stride_tricks.sliding_window_view(a, _WINDOW, axis=1)
-            for a in (self.B, self.G, self.NT))
+            np.lib.stride_tricks.sliding_window_view(a, _WINDOW, axis=-1)
+            for a in (self.B, self.G, np.append(-xcorr.diag, [0.0] * _WINDOW)))
         self.steps, self.flips, self.additions, self.passes = np.zeros(
             (4, K), dtype=np.int64)
         self.check_gradient = check_gradient
@@ -284,7 +284,8 @@ class _Lockstep:
         act = np.arange(r.size)
         while act.size:
             ra, pa = r[act], pos[act]
-            hit = self.Bw[ra, pa] * self.Gw[ra, pa] < self.NTw[ra, pa]
+            hit = (self.Bw[ra, pa] * self.Gw[ra, pa]
+                   < self.NTw[self.blk[ra] * M + pa])
             found = hit.any(axis=1)
             j = hit.argmax(axis=1)
             # a window stops at bit M - 1; the next one starts at bit 0

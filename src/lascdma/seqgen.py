@@ -26,9 +26,9 @@ Where A = 1, L is a power of two and 2L <= C, the CrossCorr keeps the
 stack, and CrossCorr.h_matvec takes every +/-1 vector through its chips:
 2L entries per bit instead of a row's 2-200, with the same doubles.  Every
 other product takes H's rows.
-Entries whose sign products cancel to exactly 0.0 are kept in the
-sparse structure: the pair shares chip support, and a sparse detector
-implementation stores and touches that entry regardless of its value.
+Entries whose sign products cancel to exactly 0.0 are kept in H's
+fixed-width row tables (CrossCorr): the pair shares chip support, and a
+sparse detector stores and touches that entry regardless of its value.
 """
 
 import copy
@@ -164,27 +164,29 @@ class SequenceMatrix:
 class CrossCorr:
     """The amplitude-weighted crosscorrelation H = A R A, with R = S^T S.
 
-    One full symmetric CSR structure per block (per-row column/value lists,
-    columns ascending within a row): `indptr`/`indices` with values
-    `h_data / den`; `diag` holds the H diagonal (A_k^2 for unit-norm
-    columns).  A sparse H with A = 1 holds sign sums n (int8 while L < 2^7,
-    int16 below 2^15) over den = L, 5 bytes an entry with its column; other
-    H hold doubles over den = 1.  Readers divide sums where they read and
-    take doubles untouched: each value reads as the rounded n/L, in the
-    LAS kernel's gradient updates too (add_rows).  A
-    stack of B blocks has B*M rows, block b's at offset b*M, and column
-    indices local to the block.  Structural entries are exactly the column
-    pairs sharing chip support, including any whose value cancels to 0.0.
-    Immutable once built.
+    One fixed-width row table (ELL) per stack: row k's entries, columns
+    ascending, fill the first indptr[k+1] - indptr[k] of its W slots in
+    `cols` and `vals` (values vals / den), W being the widest row; padding
+    slots hold column M and value 0.  Columns are int16 while M < 2^15,
+    else int32; a dense stack's are a broadcast view of 0..M-1, no byte per
+    entry.  `diag` holds the H diagonal (A_k^2 for unit-norm columns).  A
+    sparse H with A = 1 holds sign sums n (int8 while L < 2^7, int16 below
+    2^15) over den = L, 3 bytes a slot with its column; other H hold
+    doubles over den = 1.  Readers divide sums where they read and take
+    doubles untouched: each value reads as the rounded n/L, in the LAS
+    kernel's gradient updates too (add_rows).  A stack of B blocks has B*M
+    rows, block b's at offset b*M, and columns local to the block.
+    Structural entries are exactly the column pairs sharing chip support,
+    including any whose value cancels to 0.0.  Immutable once built.
     """
 
     n_bits: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    h_data: np.ndarray
+    indptr: np.ndarray  # row k's entry count is indptr[k+1] - indptr[k]
+    cols: np.ndarray  # (rows, W)
+    vals: np.ndarray  # (rows, W)
     diag: np.ndarray
     seqs: SequenceMatrix = None  # the stack, kept where chip sums are exact
-    den: int = 1  # H = h_data / den
+    den: int = 1  # H = vals / den
 
     @property
     def nnz(self):
@@ -192,7 +194,7 @@ class CrossCorr:
 
     @property
     def n_blocks(self):
-        return (self.indptr.size - 1) // self.n_bits
+        return len(self.cols) // self.n_bits
 
     @property
     def full_blocks(self):
@@ -201,16 +203,16 @@ class CrossCorr:
 
     def row(self, k):
         """Nonzero (indices, values) of row k of H (== column k by symmetry)."""
-        k = int(_indices([k], self.indptr.size - 1, "row")[0])
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        return self.indices[lo:hi], self._doubles(self.h_data[lo:hi])
+        k = int(_indices([k], len(self.cols), "row")[0])
+        n = self.indptr[k + 1] - self.indptr[k]
+        return self.cols[k, :n], self._doubles(self.vals[k, :n])
 
     def _doubles(self, v):
-        """Entries v of h_data as H's doubles: sign sums over den."""
+        """Entries v of vals as H's doubles: sign sums over den."""
         return v if v.dtype == np.float64 else v / self.den
 
     def _times(self, c, v):
-        """c = +/-2 times the entries v of h_data as H's doubles: c v / den
+        """c = +/-2 times the entries v of vals as H's doubles: c v / den
         is c (v / den), +/-0.0 included, as 2 scales exactly.  For den = 2^e
         c v 2^-e is the same double, and a product is 8x as cheap."""
         v = v.astype(np.float64)  # exact, and half the mixed c * v's cost
@@ -221,41 +223,44 @@ class CrossCorr:
             v *= 1 / self.den
         return v
 
-    @cached_property
-    def _spans(self):  # _spans[i] is h_data[i:i + M], a view
-        return np.lib.stride_tricks.sliding_window_view(self.h_data, self.n_bits)
+    def _row_sums(self, v, lo):
+        """Per row lo, lo + 1, .., the sum of its slots' products v, (rows, W)
+        or (rows, W, P): np.add.reduceat over the row's entries alone, as
+        over a CSR row (the padding's slots are summed apart and dropped)."""
+        W = self.cols.shape[1]
+        at = np.repeat(np.arange(0, v.shape[0] * W, W), 2)
+        at[1::2] += np.diff(self.indptr[lo:lo + v.shape[0] + 1])
+        if at[-1] == at.size // 2 * W:  # a full last row has no padding
+            at = at[:-1]
+        return np.add.reduceat(v.reshape((-1,) + v.shape[2:]), at, 0)[::2]
 
     def add_rows(self, G, dst, rows, c):
         """G[dst[i]] += c[i] H[rows[i]] for each i: a gradient's update for
         flipped bits, c = +/-2.  dst are distinct rows of the C-contiguous
         2-D G, rows are rows of the stack; returns each row's entry count.
-        A row of M entries (columns 0..M-1) is added as one span, others
-        entry by entry."""
-        M = self.n_bits
-        lo = self.indptr[rows]
-        n = self.indptr[rows + 1] - lo
-        full = n == M
-        if full.any():
-            G[dst[full], :M] += self._times(c[full, None],
-                                            self._spans[lo[full]])
-        if not full.all():
-            s, k = ~full, n[~full]
-            at = np.repeat(lo[s] - (np.cumsum(k) - k), k) + np.arange(k.sum())
-            # distinct rows repeat no (row, column); np.add.at measured
-            # faster here than a gather, add and scatter
+        Full rows are added as spans, other rows' table slots at once,
+        padding included: G needs a column M, which takes the padding's
+        zeros."""
+        M, n = self.n_bits, self.indptr[rows + 1] - self.indptr[rows]
+        if G.shape[1] <= M:
+            raise ValueError("G needs a padding column past bit M - 1")
+        if n.size and n.min() == M:  # columns 0..M-1: 1.3-2x np.add.at's speed
+            G[dst, :M] += self._times(c[:, None], self.vals[rows])
+        else:  # distinct rows repeat no real (row, column); np.add.at
+            # measured faster here than a gather, add and scatter
             np.add.at(G.reshape(-1),
-                      np.repeat(dst[s] * G.shape[1], k) + self.indices[at],
-                      self._times(np.repeat(c[s], k), self.h_data[at]))
+                      (self.cols[rows] + (dst * G.shape[1])[:, None]).ravel(),
+                      self._times(c[:, None], self.vals[rows]).ravel())
         return n
 
     def block(self, b):
         """Block b of the stack as a CrossCorr of its own (views), H alone:
         its products take the row route, which gives the same doubles."""
         M, b = self.n_bits, int(_indices([b], self.n_blocks, "block")[0])
-        lo, hi = self.indptr[b * M], self.indptr[(b + 1) * M]
-        return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1] - lo,
-                         self.indices[lo:hi], self.h_data[lo:hi],
-                         self.diag[b * M:(b + 1) * M], den=self.den)
+        rows = slice(b * M, (b + 1) * M)
+        return CrossCorr(M, self.indptr[b * M:(b + 1) * M + 1]
+                         - self.indptr[b * M], self.cols[rows],
+                         self.vals[rows], self.diag[rows], den=self.den)
 
     def h_matvec(self, x, block=None):
         """H @ x.  On a stack, x holds one vector per problem, (P, M), and
@@ -264,7 +269,7 @@ class CrossCorr:
         Row route: each chunk of a block's rows is read once for all of its
         problems, and a row's products x_j H_kj (x against a full block's
         values, or x^T gathered at a sparse row's columns) are summed by
-        np.add.reduceat over its row segment, as the per-entry gather does.
+        np.add.reduceat over its entries, as the per-entry gather does.
         Chip route, taken by every +/-1 x where the CrossCorr keeps its
         stack (A = 1, L = 2^e, 2L <= C): J = S_int^T (S_int x), by one weighted
         bincount of the problems' signed bits into their chips (problem p's
@@ -293,15 +298,14 @@ class CrossCorr:
                 np.divide(v.sum(-1), L, out=out[lo:lo + n])
                 del key, v  # before the next chunk's
             return out.reshape(np.shape(x))
-        full = self.full_blocks
+        full, W = self.full_blocks, self.cols.shape[1]
         order = np.argsort(block, kind="stable")  # the problems by block
         bs = block[order]
         cut = (np.flatnonzero(bs[1:] != bs[:-1]) + 1).tolist()
         for i, j in zip([0] + cut, cut + [bs.size]) if bs.size else ():
             ps, b = order[i:j], bs[i]
-            ptr = self.indptr[b * M:(b + 1) * M + 1]  # stack offsets
             if full[b]:  # each chunk of H rows is read once for them all
-                h = self.h_data[ptr[0]:ptr[-1]].reshape(M, M)
+                h = self.vals[b * M:(b + 1) * M]  # (M, M): W is M
                 Xb = X[ps, None, :]
                 n = max(1, _MATVEC_BUFFER // (ps.size * M))
                 buf = np.empty(ps.size * min(n, M) * M)
@@ -313,28 +317,33 @@ class CrossCorr:
                         v.reshape(-1), np.arange(0, v.size, M)).reshape(
                             ps.size, -1)
                 continue
-            Xt = np.ascontiguousarray(X[ps].T)  # row j: x_j of each problem
-            for lo, hi, a, e in _row_chunks(ptr, _MATVEC_BUFFER // ps.size):
-                v = np.take(Xt, self.indices[a:e], axis=0)
-                v *= self._doubles(self.h_data[a:e, None])
-                out[ps, lo:hi] = np.add.reduceat(v, ptr[lo:hi] - a, 0).T
+            # row j: x_j of each problem; row M, any finite value, is what
+            # the padding's slots gather
+            Xt = np.zeros((M + 1, ps.size))
+            Xt[:M] = X[ps].T
+            n = max(1, _MATVEC_BUFFER // (ps.size * W))
+            for lo in range(b * M, (b + 1) * M, n):
+                hi = min(lo + n, (b + 1) * M)
+                v = np.take(Xt, self.cols[lo:hi], axis=0)
+                v *= self._doubles(self.vals[lo:hi, :, None])
+                out[ps, lo - b * M:hi - b * M] = self._row_sums(v, lo).T
         return out.reshape(np.shape(x))
 
     def dense_h(self):
         """H as a dense (rows, M) array: (M, M), or the B blocks stacked."""
-        out = np.zeros((self.indptr.size - 1, self.n_bits))
-        rows = np.repeat(np.arange(out.shape[0]), np.diff(self.indptr))
-        out[rows, self.indices] = self._doubles(self.h_data)
-        return out
+        out = np.zeros((len(self.cols), self.n_bits + 1))  # column M: padding
+        np.put_along_axis(out, self.cols, self._doubles(self.vals), 1)
+        return out[:, :self.n_bits]
 
     @cached_property
     def abs_row_sums(self):
         """sum_j |H_kj| per row; the all-bits update threshold.  The doubles
         |n|/den are summed over row chunks, a bounded copy at a time."""
-        out = np.empty(self.indptr.size - 1)
-        for lo, hi, a, e in _row_chunks(self.indptr, _MATVEC_BUFFER):
-            out[lo:hi] = np.add.reduceat(self._doubles(np.abs(
-                self.h_data[a:e])), self.indptr[lo:hi] - a)
+        out = np.empty(len(self.cols))
+        n = max(1, _MATVEC_BUFFER // self.cols.shape[1])
+        for lo in range(0, out.size, n):
+            out[lo:lo + n] = self._row_sums(
+                self._doubles(np.abs(self.vals[lo:lo + n])), lo)
         return out
 
 
@@ -467,12 +476,13 @@ def crosscorrelation(S, amplitudes):
     block per matrix of the stack S, all with the same amplitudes.
 
     Each R entry is the integer sign sum n over the divisor L, by the chip
-    index route (work sum_c occupancy(c)^2, in chunks of rows, into one set
-    of arrays) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
+    index route (work sum_c occupancy(c)^2, in chunks of rows, into one
+    table) or, when M^2 L < _GATHER_PER_PAIR * pairs, the gather route
     (M^2 L entries per block, all blocks at once).  With A = 1 the H keeps
     n and L; otherwise its values are (n/L) A_k A_j.  When 2L > C every
     column pair shares a chip (the structure is full), so each block's
-    product is taken densely instead, as doubles over divisor 1.
+    product is taken densely instead, as doubles over divisor 1, with the
+    columns 0..M-1 of every row implied by a broadcast view.
     """
     A = np.asarray(amplitudes, dtype=np.float64)
     if A.ndim == 0:
@@ -489,39 +499,43 @@ def crosscorrelation(S, amplitudes):
     if 2 * L > C:
         # every pair overlaps: full structure, dense product for the values
         Sd = S.dense_matrix.reshape(B, C, M)
-        r_data = np.empty((B, M, M))
-        for Sb, Rb in zip(Sd, r_data):
+        vals = np.empty((B, M, M))
+        for Sb, Rb in zip(Sd, vals):
             np.matmul(Sb.T, Sb, out=Rb)  # numpy returns S^T S exactly symmetric
-        r_diag = r_data[:, np.arange(M), np.arange(M)].ravel()
-        r_data = r_data.reshape(-1)
+        r_diag = vals[:, np.arange(M), np.arange(M)].ravel()
+        vals = vals.reshape(B * M, M)
         indptr = np.arange(B * M + 1, dtype=np.int64) * M
-        indices = np.tile(np.arange(M, dtype=np.int32), B * M)
+        cols = np.broadcast_to(np.arange(M, dtype=_col_type(M)), vals.shape)
         den = 1
     else:
         occ = np.bincount(S.stacked_chips, minlength=B * C).reshape(B, C)
         pairs = (occ * occ).sum(axis=1)
         if M * M * L < _GATHER_PER_PAIR * pairs.mean():
-            indptr, indices, r_data = _gather_route(S)
+            indptr, cols, vals = _gather_route(S)
         else:
-            indptr, indices, r_data = _chip_index_route(S, occ, pairs)
+            indptr, cols, vals = _chip_index_route(S, occ)
         r_diag, den = np.ones(B * M), L  # n = L on the diagonal
 
     if np.all(A == 1.0):
         # equal power: identical; immutable by convention.  A fresh stack
         # (no caches of S) is kept where J / L is exact: see h_matvec
         exact = 2 * L <= C and L & (L - 1) == 0
-        return CrossCorr(M, indptr, indices, r_data, r_diag, SequenceMatrix(
+        return CrossCorr(M, indptr, cols, vals, r_diag, SequenceMatrix(
             C, M, S.chips, S.signs) if exact else None, den)
-    rows_of = np.repeat(np.tile(np.arange(M), B), np.diff(indptr))
     At = np.tile(A, B)
-    return CrossCorr(M, indptr, indices,
-                     r_data / den * A[rows_of] * A[indices], r_diag * At * At)
+    return CrossCorr(M, indptr, cols, vals / den * At[:, None]
+                     * np.append(A, 1.0)[cols], r_diag * At * At)
+
+
+def _col_type(M):
+    """The narrowest of int16 and int32 that holds the padding column M."""
+    return np.int16 if M < 2 ** 15 else np.int32
 
 
 def _gather_route(S):
-    """(indptr, indices, sign sums) of every block at once: row j of the
-    int8 C x M sign matrix, gathered at column j's chips and summed with its
-    signs, is column j's integer sign sum with every column."""
+    """(indptr, column table, sign sum table) of every block at once: row j
+    of the int8 C x M sign matrix, gathered at column j's chips and summed
+    with its signs, is column j's integer sign sum with every column."""
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     chips = S.stacked_chips.reshape(B, M, L)
     signs = S.signs.reshape(B, M, L)
@@ -534,25 +548,32 @@ def _gather_route(S):
         np.logical_or(pattern, g, out=pattern)
         g *= signs[:, :, l, None]
         n += g
-    indptr = np.concatenate(([0], np.cumsum(pattern.sum(axis=2).ravel())))
-    indices = np.broadcast_to(np.arange(M, dtype=np.int32), pattern.shape)[pattern]
-    return indptr, indices, n[pattern]
+    count = pattern.sum(axis=2).ravel()
+    at = np.arange(count.max()) < count[:, None]  # each row's first slots
+    cols = np.full(at.shape, M, dtype=_col_type(M))
+    cols[at] = np.broadcast_to(np.arange(M, dtype=cols.dtype), n.shape)[pattern]
+    vals = np.zeros(at.shape, dtype=n.dtype)
+    vals[at] = n[pattern]
+    return np.concatenate(([0], np.cumsum(count))), cols, vals
 
 
-def _chip_index_route(S, occ, pairs):
-    """(indptr, indices, sign sums) in chunks of rows of up to _PAIR_BUFFER
-    pairs: each chip of a row gives one (row, column, signs agree) key per
-    occupant, summed per (row, column) after an in-place sort, into arrays
-    sized by the pair counts and then shrunk."""
+def _chip_index_route(S, occ):
+    """(indptr, column table, sign sum table) in chunks of rows of up to
+    _PAIR_BUFFER pairs: each chip of a row gives one (row, column, signs
+    agree) key per occupant, summed per (row, column) after an in-place
+    sort, into tables as wide as the pair counts allow and then narrowed to
+    the widest row."""
     B, M, L = S.n_blocks, S.n_bits, S.n_nonzero
     cptr, cols, csigns = S.chip_index
     chips, signs, occ = S.stacked_chips, S.signs.ravel(), occ.ravel()
-    rptr = np.concatenate(([0], np.cumsum(occ[chips].reshape(-1, L).sum(1))))
-    cap = int(np.minimum(pairs, M * M).sum())
+    rpairs = occ[chips].reshape(-1, L).sum(1)
+    rptr = np.concatenate(([0], np.cumsum(rpairs)))
+    # a row pairs with itself on each of its L chips: min(M, pairs - L + 1)
+    # bounds its entries
+    Wb = int(min(M, rpairs.max() - L + 1))
+    ct = np.full(B * M * Wb, M, dtype=_col_type(M))
+    vt = np.zeros(B * M * Wb, dtype=np.min_scalar_type(-L - 1))  # holds +/-L
     indptr = np.zeros(B * M + 1, dtype=np.int64)
-    indices = np.empty(cap, dtype=np.int32)
-    r_data = np.empty(cap, dtype=np.min_scalar_type(-L - 1))  # holds +/-L
-    at = 0
     for lo, hi, a, e in _row_chunks(rptr, _PAIR_BUFFER):
         ch = chips[lo * L:hi * L]
         n, c = e - a, occ[ch]
@@ -573,12 +594,16 @@ def _chip_index_route(S, occ, pairs):
         key.sort()
         last = np.append((key[1:] ^ key[:-1]) > 1, True)  # differ above bit 0
         ukey, s = key[last] >> 1, np.cumsum(2 * (key & 1) - 1, dtype=it)[last]
-        end = at + ukey.size
-        r_data[at:end] = np.diff(s, prepend=0)
-        indices[at:end] = ukey % M
-        indptr[lo + 1:hi + 1] = at + np.searchsorted(
-            ukey, np.arange(1, hi - lo + 1, dtype=it) * M)
-        at = end
-    for a in (indices, r_data):  # shrunk in place: a copy would raise the peak
-        a.resize(at, refcheck=False)
-    return indptr, indices, r_data
+        end = np.searchsorted(ukey, np.arange(1, hi - lo + 1, dtype=it) * M)
+        indptr[lo + 1:hi + 1] = indptr[lo] + end
+        # each row's first slots, in row-major order: the keys' order
+        at = np.arange(Wb) < np.diff(end, prepend=0)[:, None]
+        ct.reshape(-1, Wb)[lo:hi][at] = ukey % M
+        vt.reshape(-1, Wb)[lo:hi][at] = np.diff(s, prepend=0)
+    W, n = int(np.diff(indptr).max()), max(1, _PAIR_BUFFER // Wb)
+    for t in (ct, vt) if W < Wb else ():  # narrowed in place, rows moving
+        for lo in range(0, B * M, n):  # down: a copy would raise the peak
+            rows = t[lo * Wb:min(lo + n, B * M) * Wb].reshape(-1, Wb)[:, :W]
+            t[lo * W:lo * W + rows.size] = rows.ravel()
+        t.resize(B * M * W, refcheck=False)
+    return indptr, ct.reshape(-1, W), vt.reshape(-1, W)

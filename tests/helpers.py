@@ -20,9 +20,12 @@ def make_instance(rng, M, alpha, L, snr_db, amplitudes=None):
     return S, xc, A, b, y
 
 
-def h_values(xc):
-    """The values of a CrossCorr as doubles: its h_data over its divisor."""
-    return xc.h_data / xc.den
+def csr(xc):
+    """A CrossCorr's rows as CSR: (indptr, int32 column indices, values as
+    doubles), each row's entries being its table's first slots."""
+    real = np.arange(xc.cols.shape[1]) < np.diff(xc.indptr)[:, None]
+    return (xc.indptr, xc.cols[real].astype(np.int32),
+            xc.vals[real] / xc.den)
 
 
 def orthogonal_matrix(M, L, rng):

@@ -31,9 +31,9 @@ def xcorr_from_dense(Hd):
     Hd = np.asarray(Hd, dtype=float)
     M = Hd.shape[0]
     indptr = np.arange(M + 1, dtype=np.int64) * M
-    indices = np.tile(np.arange(M, dtype=np.int32), M)
-    return CrossCorr(n_bits=M, indptr=indptr, indices=indices,
-                     h_data=Hd.ravel(), diag=Hd.diagonal().copy())
+    cols = np.broadcast_to(np.arange(M, dtype=np.int16), (M, M))
+    return CrossCorr(n_bits=M, indptr=indptr, cols=cols, vals=Hd,
+                     diag=Hd.diagonal().copy())
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +708,10 @@ def test_random_lockstep_batches_equal_their_las_runs(rows, invert, sigma,
 
 def _per_entry_matvec(xc, X, block):
     """H @ x of each problem by the per-entry gather of its block."""
-    return np.stack([np.add.reduceat(x[h.indices] * helpers.h_values(h),
-                                     h.indptr[:-1])
-                     for x, h in zip(X, map(xc.block, block))])
+    def gather(x, h):
+        indptr, indices, values = helpers.csr(h)
+        return np.add.reduceat(x[indices] * values, indptr[:-1])
+    return np.stack([gather(x, h) for x, h in zip(X, map(xc.block, block))])
 
 
 @pytest.mark.parametrize("unequal", [False, True])
@@ -756,10 +757,10 @@ def test_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
 @pytest.mark.parametrize("buffer", [1, 7919, seqgen._MATVEC_BUFFER])
 def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     # sparse rows of about 146 entries, past numpy's 8-way unrolled and
-    # 128-entry pairwise sums: a row per chunk, chunks of 18 to 55 rows
-    # (three problems to one) that end mid-block, and the default, a block
-    # per chunk.  Each row sums as the per-entry gather's 1-D reduceat
-    # does; the |H| row sums likewise
+    # 128-entry pairwise sums, in tables 171 slots wide: a row per chunk,
+    # chunks of 15 to 46 rows (three problems to one) that end mid-block,
+    # and the default, 255 rows or more.  Each row sums as the per-entry
+    # gather's 1-D reduceat does; the |H| row sums likewise
     monkeypatch.setattr(seqgen, "_MATVEC_BUFFER", buffer)
     M, C, L = 256, 320, 16
     rng = np.random.default_rng(6)
@@ -772,7 +773,7 @@ def test_sparse_h_matvec_in_row_chunks_is_bit_identical(buffer, monkeypatch):
     assert np.array_equal(xc.h_matvec(X[:1], [1]),
                           _per_entry_matvec(xc, X[:1], [1]))
     assert np.array_equal(xc.abs_row_sums, np.concatenate([
-        np.add.reduceat(np.abs(helpers.h_values(h)), h.indptr[:-1])
+        np.add.reduceat(np.abs(helpers.csr(h)[2]), h.indptr[:-1])
         for h in map(xc.block, range(3))]))
 
 
@@ -782,7 +783,7 @@ def _both_routes(xc, X, block):
     H values are zeroed, which only the chip route, reading no H value,
     gets right."""
     rows = dataclasses.replace(xc, seqs=None).h_matvec(X, block)
-    zeroed = dataclasses.replace(xc, h_data=np.zeros_like(xc.h_data))
+    zeroed = dataclasses.replace(xc, vals=np.zeros_like(xc.vals))
     return rows, xc.h_matvec(X, block), zeroed.h_matvec(X, block)
 
 
@@ -828,7 +829,7 @@ def test_exact_products_take_the_chip_route_at_small_l(L):
     M, C = 64, 80
     _, xc = _stacked_h(10 + L, C, M, L, np.ones(M))
     X = np.random.default_rng(L).integers(0, 2, (3, M)) * 2 - 1
-    zeroed = dataclasses.replace(xc, h_data=np.zeros_like(xc.h_data))
+    zeroed = dataclasses.replace(xc, vals=np.zeros_like(xc.vals))
     for block in ([1, 1, 1], [2]):
         ref = _per_entry_matvec(xc, X[:len(block)], block)
         _assert_same_doubles(ref, zeroed.h_matvec(X[:len(block)], block))
@@ -883,11 +884,11 @@ def test_every_reader_gives_the_same_doubles(case):
     elif case == "cancelled":
         xc = crosscorrelation(SequenceMatrix(4, 2, [[0, 1], [0, 1]],
                                              [[1, 1], [1, -1]]), 1.0)
-        assert 0 in xc.h_data
+        assert 0 in helpers.csr(xc)[2]
     else:
         _, xc = _stacked_h(20 + case, 50, 40, case, np.ones(40), full=[2])
-    assert xc.h_data.dtype == np.int8 and xc.full_blocks.any()
-    ref = dataclasses.replace(xc, h_data=xc.h_data / xc.den, den=1)
+    assert xc.vals.dtype == np.int8 and xc.full_blocks.any()
+    ref = dataclasses.replace(xc, vals=xc.vals / xc.den, den=1)
     M, B = xc.n_bits, xc.n_blocks
     rng = np.random.default_rng(7)
     block = np.tile(np.arange(B), 2)
@@ -924,7 +925,7 @@ def test_every_reader_gives_the_same_doubles(case):
 
 def _add_rows_case(case):
     """A CrossCorr for test_add_rows_equals_a_per_entry_loop and the dtype
-    of its h_data."""
+    of its vals."""
     M, A = 40, np.ones(40)
     if case == "unequal":
         A = np.random.default_rng(2).uniform(0.5, 2.0, M)
@@ -940,11 +941,11 @@ def _add_rows_case(case):
 @pytest.mark.parametrize("case", ["L16", "L12", "L3", "dense", "unequal",
                                   "cancelled"])
 def test_add_rows_equals_a_per_entry_loop(case):
-    # full rows (one span) and sparse rows (a gather) in one call, stack
-    # rows repeated, into distinct gradient rows holding +0.0 and -0.0:
-    # each entry's c (v / den), added one entry at a time
+    # full rows and sparse rows in one call, stack rows repeated, into
+    # distinct gradient rows holding +0.0 and -0.0: each entry's c (v / den),
+    # added one entry at a time.  A G without the padding column is refused
     xc, dtype = _add_rows_case(case)
-    assert xc.h_data.dtype == dtype
+    assert xc.vals.dtype == dtype
     rng = np.random.default_rng(len(case))
     n_rows = xc.indptr.size - 1
     rows = rng.integers(0, n_rows, max(3 * n_rows, 64))
@@ -956,12 +957,101 @@ def test_add_rows_equals_a_per_entry_loop(case):
     G[rng.random(G.shape) < 0.3] = -0.0
     dst = rng.permutation(len(G))[:rows.size]
     c = rng.choice([-2.0, 2.0], rows.size)
+    assert _add_rows_per_entry(xc, G, dst, rows, c).tolist() == counts.tolist()
+    with pytest.raises(ValueError, match="padding column"):
+        xc.add_rows(G[:, :xc.n_bits], dst, rows, c)
+
+
+def _add_rows_per_entry(xc, G, dst, rows, c):
+    """xc.add_rows(G, dst, rows, c), checked against adding each entry's
+    c (v / den) one at a time: the same doubles in every column but the
+    padding column M, which takes zeros only.  Returns the entry counts."""
     ref = G.copy()
+    indptr, indices, values = helpers.csr(xc)
     for d, r, ci in zip(dst, rows, c):
-        for e in range(xc.indptr[r], xc.indptr[r + 1]):
-            ref[d, xc.indices[e]] += ci * (xc.h_data[e] / xc.den)
-    assert xc.add_rows(G, dst, rows, c).tolist() == counts.tolist()
-    _assert_same_doubles(ref, G)
+        for e in range(indptr[r], indptr[r + 1]):
+            ref[d, indices[e]] += ci * values[e]
+    counts = xc.add_rows(G, dst, rows, c)
+    M = xc.n_bits
+    _assert_same_doubles(np.delete(ref, M, 1), np.delete(G, M, 1))
+    assert np.array_equal(ref[:, M], G[:, M])  # +0.0 == -0.0
+    return counts
+
+
+@pytest.mark.parametrize("route", ["gather", "chip index"])
+def test_every_reader_of_a_ragged_table_equals_the_dense_oracle(
+        route, monkeypatch):
+    # rows of many widths in one table: a stack at M = 40, L = 4 with sparse
+    # blocks and a full one, and a per-transmission group at M = 64, L = 16,
+    # C = 80 whose sparse blocks hold some full rows.  With A = 1, L = 2^e
+    # and +/-1 vectors every sum is exact, so each reader equals the dense
+    # H = S^T S, and the structure the columns that share a chip
+    if route == "chip index":
+        monkeypatch.setattr(seqgen, "_GATHER_PER_PAIR", 0)
+    rng = np.random.default_rng(40)
+    S, stack = _stacked_h(40, 50, 40, 4, np.ones(40), full=[1])
+    group = gen_sparse_matrix(80, 64, 16, [np.random.default_rng([41, t])
+                                           for t in range(6)])
+    for S, xc in ((S, stack), (group, crosscorrelation(group, 1.0))):
+        M, B = xc.n_bits, xc.n_blocks
+        Sd = S.dense_matrix.reshape(B, -1, M)
+        Hd = np.concatenate([s.T @ s for s in Sd])
+        shared = np.concatenate([(s != 0).T @ (s != 0) for s in Sd])
+        width = np.diff(xc.indptr)
+        assert width.min() < width.max() == M == xc.cols.shape[1]
+        assert list(xc.full_blocks) == ([False, True, False] if B == 3
+                                        else [False] * B)
+        assert np.array_equal(width, shared.sum(1))
+        for k in range(B * M):
+            cols, vals = xc.row(k)
+            assert cols.tolist() == np.flatnonzero(shared[k]).tolist()
+            assert vals.tolist() == Hd[k, cols].tolist()
+        assert np.array_equal(xc.dense_h(), Hd)
+        _assert_same_doubles(xc.abs_row_sums, np.abs(Hd).sum(1))
+        for b in range(B):
+            assert np.array_equal(xc.block(b).dense_h(), Hd[b * M:(b + 1) * M])
+        X = rng.integers(0, 2, (2 * B, M)) * 2 - 1
+        block = np.tile(np.arange(B), 2)
+        ref = np.stack([Hd[b * M:(b + 1) * M] @ x for b, x in zip(block, X)])
+        for out in _both_routes(xc, X, block):
+            _assert_same_doubles(ref, out)
+        rows = rng.permutation(B * M)  # every row of the stack once
+        G = rng.standard_normal((rows.size, M + 2))
+        c = rng.choice([-2.0, 2.0], rows.size)
+        assert np.array_equal(_add_rows_per_entry(
+            xc, G, rng.permutation(rows.size), rows, c), width[rows])
+        # SLAS and WSLAS rows, each its one-row run
+        ys = xc.h_matvec(X, block) + 0.5 * rng.standard_normal(X.shape)
+        problem, n_prime = np.repeat(np.arange(2 * B), 2), np.tile([0, 3], 2 * B)
+        runs = las_lockstep(ys, xc, np.ones(M), mf_detect(ys), n_prime, 100,
+                            problem=problem, block=block)
+        _assert_rows_are_their_las_runs(runs, ys, xc, np.ones(M), mf_detect(ys),
+                                        block, problem, n_prime, 100)
+
+
+@pytest.mark.parametrize("M", [2 ** 15 - 1, 2 ** 15])
+def test_column_dtype_holds_the_padding_column(M):
+    # a table's padding slots hold column M: int16 columns up to
+    # M = 2^15 - 1, int32 from 2^15.  L = 1 over C = M / 8 chips, rows of
+    # about 9 entries, read row by row against the chips, and add_rows
+    # against the per-entry loop on rows that include the last
+    C = M // 8
+    g = np.random.default_rng(M)
+    S = SequenceMatrix(C, M, g.integers(0, C, (M, 1)),
+                       g.integers(0, 2, (M, 1), dtype=np.int8) * 2 - 1)
+    xc = crosscorrelation(S, 1.0)
+    assert xc.cols.dtype == (np.int16 if M < 2 ** 15 else np.int32)
+    chips, signs = S.chips[:, 0], S.signs[:, 0]
+    rows = np.append(g.choice(M - 1, 63, replace=False), M - 1)
+    for k in rows:
+        cols, vals = xc.row(k)
+        on = np.flatnonzero(chips == chips[k])
+        assert cols.tolist() == on.tolist()
+        assert vals.tolist() == (signs[k] * signs[on]).tolist()
+    G = g.standard_normal((64, M + 1))
+    c = g.choice([-2.0, 2.0], 64)
+    assert np.array_equal(_add_rows_per_entry(xc, G, np.arange(64), rows, c),
+                          np.diff(xc.indptr)[rows])
 
 
 def test_an_all_bit_step_flips_as_one_bit_at_a_time():
@@ -1001,7 +1091,7 @@ def test_the_kernel_reads_no_h_storage():
     # H's storage (sign sums over a divisor, CSR rows, full blocks) is
     # seqgen's: detect reaches H through CrossCorr's methods only
     tree = ast.parse(Path(detect.__file__).read_text(encoding="utf-8"))
-    storage = {"h_data", "indices", "indptr", "den", "_times", "full_blocks"}
+    storage = {"vals", "cols", "indptr", "den", "_times", "full_blocks"}
     read = sorted({node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)} & storage)
     assert read == []

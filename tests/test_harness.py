@@ -415,7 +415,7 @@ def test_fixed_set_crosscorrelation_bytes(L, digest):
     n_sets, _, xc = harness._resolve_sets(
         ExperimentConfig(M=1024, alpha=0.8, L=L, seed=1))
     h = hashlib.sha256()
-    for a in (xc.indptr, xc.indices, helpers.h_values(xc), xc.diag):
+    for a in (*helpers.csr(xc), xc.diag):
         h.update(a.tobytes())
     assert n_sets == 5 and h.hexdigest() == digest
 
@@ -634,8 +634,9 @@ def test_group_build_equals_per_trial_build(M, L):
         y_t = harness.matched_filter(S, harness.transmit(S, ctx.params, b_t, rng))
         assert np.array_equal(b[t], b_t)
         assert np.array_equal(y[t], y_t)
-        for f in ("indptr", "indices", "h_data", "diag"):
-            assert np.array_equal(getattr(xc.block(t), f), getattr(alone, f))
+        for u, v in zip((*helpers.csr(xc.block(t)), xc.block(t).diag),
+                        (*helpers.csr(alone), alone.diag)):
+            assert np.array_equal(u, v)
 
 
 def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):

@@ -282,7 +282,7 @@ def test_mean_offdiagonal_h_energy_anchor(L, tol):
     # (dense); tolerance about 4 sd
     C, M = 1280, 1024
     xc = crosscorrelation(_five_sets(C if L == "dense" else L, 0), 1.0)
-    h = helpers.h_values(xc)
+    h = helpers.csr(xc)[2]
     off = (h @ h - xc.diag @ xc.diag) / (5 * M)
     assert abs(off / ((M - 1) / C) - 1) < tol
 
@@ -331,7 +331,7 @@ def test_chip_index_route_with_int64_keys():
     occ = np.bincount(chips, minlength=C)[chips]
     assert np.array_equal(np.diff(xc.indptr), occ)
     alone = np.flatnonzero(occ == 1)
-    assert np.array_equal(xc.indices[xc.indptr[alone]], alone)
+    assert np.array_equal(helpers.csr(xc)[1][xc.indptr[alone]], alone)
     for k in np.flatnonzero(occ > 1):
         cols = np.flatnonzero(chips == chips[k])
         idx, val = xc.row(k)
@@ -356,42 +356,59 @@ def test_chip_index_route_at_the_key_dtype_boundary(M, monkeypatch):
     on_chip = np.split(np.argsort(chips, kind="stable"),
                        np.cumsum(np.bincount(chips, minlength=C))[:-1])
     rows = [on_chip[c] for c in chips]  # row k: the columns on k's chip
-    assert np.array_equal(xc.indptr, np.cumsum([0] + [r.size for r in rows]))
-    assert np.array_equal(xc.indices, np.concatenate(rows))
-    assert np.array_equal(helpers.h_values(xc), np.concatenate(
+    indptr, indices, values = helpers.csr(xc)
+    assert np.array_equal(indptr, np.cumsum([0] + [r.size for r in rows]))
+    assert np.array_equal(indices, np.concatenate(rows))
+    assert np.array_equal(values, np.concatenate(
         [signs[k] * signs[r] for k, r in enumerate(rows)]))
 
 
 def test_chip_index_route_holds_no_idle_slots():
-    # the arrays are sized by the pair count, then shrunk in place to the
-    # entries: the CrossCorr owns exactly nnz of each, and no larger base
+    # the tables are sized by the widest row's pair count, then narrowed in
+    # place to the widest row: W is the largest entry count, and each table
+    # is a view of one buffer of exactly rows * W slots
     S = gen_sparse_matrix(1280, 1024, 16, [rng_for(s) for s in (1, 2)])
     xc = crosscorrelation(S, 1.0)
     occ = np.bincount(S.stacked_chips, minlength=2 * 1280)
-    assert (occ * occ).sum() > 1.05 * xc.nnz  # so there were idle slots
-    for a in (xc.indices, xc.h_data):
-        assert a.size == xc.nnz and a.base is None
+    pairs = occ[S.stacked_chips].reshape(-1, 16).sum(1)
+    W = xc.cols.shape[1]
+    assert pairs.max() - 15 > W  # so the tables were narrowed
+    assert W == np.diff(xc.indptr).max()
+    for a in (xc.cols, xc.vals):
+        assert a.shape == (2048, W) and a.base.size == 2048 * W
 
 
 def test_sparse_h_holds_int8_sign_sums_over_l():
     # a sparse A = 1 H keeps its sign sums n in int8 over den = L, by both
-    # routes (gather at M = 64, L = 3): 5 bytes an entry with its int32
-    # column, where doubles took 12.  The dense route and A != 1 keep
-    # doubles over den = 1
+    # routes (gather at M = 64, L = 3): 3 bytes a table slot with its int16
+    # column, where doubles took 12 an entry.  The dense route and A != 1
+    # keep doubles over den = 1
     for M, L in ((64, 1), (64, 3), (1024, 16)):
         S = gen_sparse_matrix(int(M / 0.8), M, L, [rng_for(1), rng_for(2)])
         assert _routes(S)[2] == (L == 3)
         xc = crosscorrelation(S, 1.0)
-        assert xc.h_data.dtype == np.int8 and xc.den == L
-        assert xc.indices.nbytes + xc.h_data.nbytes == 5 * xc.nnz
+        assert xc.vals.dtype == np.int8 and xc.den == L
+        assert xc.cols.nbytes + xc.vals.nbytes == 3 * xc.cols.size
         weighted = crosscorrelation(S, rng_for(M).uniform(0.5, 2.0, M))
-        assert weighted.h_data.dtype == np.float64 and weighted.den == 1
+        assert weighted.vals.dtype == np.float64 and weighted.den == 1
     for L in (50, 80):  # 2L > C, and dense
         xc = crosscorrelation(gen_sparse_matrix(80, 64, L, rng_for(L)), 1.0)
-        assert xc.h_data.dtype == np.float64 and xc.den == 1
+        assert xc.vals.dtype == np.float64 and xc.den == 1
     # sums over 2^7 chips or more take int16
     xc = crosscorrelation(gen_sparse_matrix(256, 8, 128, rng_for(4)), 1.0)
-    assert xc.h_data.dtype == np.int16 and xc.den == 128
+    assert xc.vals.dtype == np.int16 and xc.den == 128
+
+
+def test_a_dense_h_holds_no_column_bytes():
+    # the dense route's rows hold columns 0..M-1: its column table is one
+    # broadcast view of M int16 columns, with or without amplitudes
+    for L in (50, 80):  # 2L > C, and dense
+        S = gen_sparse_matrix(80, 64, L, [rng_for(L + b) for b in range(3)])
+        for A in (1.0, rng_for(L).uniform(0.5, 2.0, 64)):
+            xc = crosscorrelation(S, A)
+            assert xc.full_blocks.all() and xc.cols.shape == (3 * 64, 64)
+            lo, hi = np.lib.array_utils.byte_bounds(xc.cols)
+            assert xc.cols.dtype == np.int16 and hi - lo == 64 * 2
 
 
 def test_row_indices_are_checked():
@@ -568,7 +585,7 @@ def test_crosscorrelation_properties():
 
 
 def _routes(S):
-    """(indptr, indices, r_data) of S by the gather and chip-index routes,
+    """(indptr, cols, vals) of S by the gather and chip-index routes,
     and whether the work rule picks the gather route."""
     B, C = S.n_blocks, S.n_chips
     occ = np.bincount(S.stacked_chips, minlength=B * C).reshape(B, C)
@@ -576,7 +593,7 @@ def _routes(S):
     gather = (S.n_bits ** 2 * S.n_nonzero
               < seqgen._GATHER_PER_PAIR * pairs.mean())
     return (seqgen._gather_route(S),
-            seqgen._chip_index_route(S, occ, pairs), gather)
+            seqgen._chip_index_route(S, occ), gather)
 
 
 @pytest.mark.parametrize("L", [1, 3, 4, 12, 16])
@@ -591,18 +608,17 @@ def test_gather_route_equals_chip_index_route(L):
         for u, v in zip(by_gather, by_index):
             assert np.array_equal(u, v)
         xc = crosscorrelation(S, np.ones(M))
-        indptr, indices, r_data = by_index
-        assert np.array_equal(xc.indptr, indptr)
-        assert np.array_equal(xc.indices, indices)
-        assert np.array_equal(xc.h_data, r_data)
+        for u, v in zip((xc.indptr, xc.cols, xc.vals), by_index):
+            assert np.array_equal(u, v) and u.dtype == v.dtype
         assert np.array_equal(xc.diag, xc.dense_h().reshape(B, M, M)[
             :, np.arange(M), np.arange(M)].ravel())
         for b in range(B):  # each block is its matrix alone
             alone = crosscorrelation(
                 SequenceMatrix(S.n_chips, M, S.chips[b], S.signs[b]), np.ones(M))
             blk = xc.block(b)
-            for f in ("indptr", "indices", "h_data", "diag"):
-                assert np.array_equal(getattr(blk, f), getattr(alone, f))
+            for u, v in zip((*helpers.csr(blk), blk.diag),
+                            (*helpers.csr(alone), alone.diag)):
+                assert np.array_equal(u, v)
     assert picked == [True, False]
 
 
@@ -613,11 +629,11 @@ def test_routes_keep_a_cancelled_entry():
     by_gather, by_index, _ = _routes(S)
     for u, v in zip(by_gather, by_index):
         assert np.array_equal(u, v)
-    indptr, indices, r_data = by_gather
-    assert indices.tolist() == [0, 1, 0, 1]
-    assert r_data.tolist() == [2, 0, 0, 2]  # sign sums over L = 2
+    indptr, cols, vals = by_gather
+    assert cols.tolist() == [[0, 1], [0, 1]]
+    assert vals.tolist() == [[2, 0], [0, 2]]  # sign sums over L = 2
     xc = crosscorrelation(S, 1.0)
-    assert helpers.h_values(xc).tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert helpers.csr(xc)[2].tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_identical_columns_give_unit_crosscorrelation():
