@@ -1,12 +1,13 @@
 """Command-line front end: presets, config files, CSV emission.
 
-Config files are flat UTF-8 `key = value` lines with `#` comments.  The
-preset subcommands are just built-in config mappings, so `--set KEY=VALUE`
-overrides apply uniformly and `--dump-config` writes the effective config
-for exact replay with `run`.
+Config files are flat UTF-8 `key = value` lines with `#` comments, after
+an optional byte-order mark.  The preset subcommands are just built-in
+config mappings, so `--set KEY=VALUE` overrides apply uniformly and
+`--dump-config` writes the effective config for exact replay with `run`.
 """
 
 import argparse
+import decimal
 import os
 import sys
 
@@ -35,7 +36,7 @@ _PRESETS = {
 def _parse_config_file(path):
     mapping = {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
@@ -51,15 +52,13 @@ def _parse_config_file(path):
 
 
 def _parse_int(key, s):
-    try:
-        if "e" in s.lower() or "." in s:  # scientific notation, e.g. 1e6
-            v = float(s)
-            if not v.is_integer():
-                raise ValueError
-            return int(v)
-        return int(s)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {s!r}")
+    try:  # exact: 1e6 reads as 1000000, 64.0000000000000001 is refused
+        v = decimal.Decimal(s)
+        if v.is_finite() and v == v.to_integral() and v.adjusted() < 4300:
+            return int(v)  # no more digits than int(str) accepts
+    except decimal.InvalidOperation:
+        pass
+    raise ConfigError(f"{key}: expected an integer, got {s!r}")
 
 
 def _parse_float(key, s):

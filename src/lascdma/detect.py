@@ -46,9 +46,12 @@ all-bit step having flipped) share one sequential run, and each still
 reports its own counters.  A row's result does not depend on the other
 rows of its batch.  The sequential phase keeps no violator bookkeeping: it
 finds each row's next violator by testing the next _WINDOW bits from the
-row's cursor, for all rows at once.  Every flip updates g through
-CrossCorr.add_rows, an all-bit step's one bit per row at a time in
-ascending order; the kernel never reads how H is stored.
+row's cursor, for all rows at once, and keeps two counters per row: the bits
+tested (mod M, the cursor) and the step of the last flip.  No violator comes
+a full cycle after that flip, so a row has converged when that step plus M
+fits its budget; one with no passes left leaves at its first test.  Every
+flip updates g through CrossCorr.add_rows, an all-bit step's one bit per
+row at a time in ascending order; the kernel never reads how H is stored.
 
 Bit vectors are int8 arrays over {-1,+1}.  Detector runs are single-threaded
 over immutable (y, H, A); many runs may share one crosscorrelation.
@@ -267,51 +270,42 @@ class _Lockstep:
         Bits between a row's cursor and its next violator cannot flip: their
         gradient entries are unchanged since they were last examined.  So
         each iteration tests the next _WINDOW bits of every row, b_k g_k <
-        -H_kk, flips the first violator and charges the clean bits before
-        it; a row whose clean bits since its last flip reach M has made a
-        clean cycle."""
+        -H_kk, and flips the first violator.  A row keeps two counters: t,
+        the bits tested since the phase began (its cursor is t % M), and
+        last, the step of its last flip (0 before any).  A flip at step t
+        needs t <= cap = cycles * M, and a row scans on while t < min(last
+        + M, cap), so a row with no passes left leaves at its first test.
+        No violator comes a full cycle after the last flip: every bit
+        tested since was clean against the same gradient, and a flipped bit
+        cannot violate again.  So a row has converged exactly when last + M
+        <= cap, and it is charged min(last + M, cap) steps."""
         M = self.M
-        converged = np.zeros(rows.size, dtype=bool)
-        live = np.flatnonzero(cycles > 0)
-        r = rows[live]
-        if not r.size:
-            return converged
-        cap = cycles[live] * M
-        base = self.steps[r]
-        # steps charged up to the last flip, the cursor past it, and the
-        # clean bits tested since
-        used, pos, gap = np.zeros((3, r.size), dtype=np.int64)
-        act = np.arange(r.size)
+        cap, base = cycles * M, self.steps[rows]
+        off = self.blk[rows] * M  # each row's bit 0 in the stack's -diag
+        t, last = np.zeros((2, rows.size), dtype=np.int64)
+        act = np.arange(rows.size)
         while act.size:
-            ra, pa = r[act], pos[act]
-            hit = (self.Bw[ra, pa] * self.Gw[ra, pa]
-                   < self.NTw[self.blk[ra] * M + pa])
+            ra, ta, ca = rows[act], t[act], cap[act]
+            pa = ta % M
+            hit = self.Bw[ra, pa] * self.Gw[ra, pa] < self.NTw[off[act] + pa]
             found = hit.any(axis=1)
             j = hit.argmax(axis=1)
             # a window stops at bit M - 1; the next one starts at bit 0
-            step = np.where(found, j + 1, np.minimum(_WINDOW, M - pa))
-            ga = gap[act] + step
-            clean = ~found & (ga >= M)
-            settled = found | clean
-            # a flip costs the clean bits before it plus its own step, a
-            # clean cycle M steps; a row still scanning needs one step more
-            need = np.where(settled, np.minimum(ga, M), ga + 1)
-            fits = used[act] + need <= cap[act]
-            used[act] = np.where(fits, used[act] + settled * need, cap[act])
-            converged[live[act[fits & clean]]] = True
-            flip = fits & found
+            ta += np.where(found, j + 1, np.minimum(_WINDOW, M - pa))
+            flip = found & (ta <= ca)
             if flip.any():
                 fa, ks = act[flip], pa[flip] + j[flip]
-                self.steps[r[fa]] = base[fa] + used[fa]
-                self._flip_each(r[fa], ks)
+                last[fa] = ta[flip]
+                self._flip_each(rows[fa], ks)
                 if self.hooked:
-                    self._after_flips(r[fa], ks)
-            pos[act] = (pa + step) % M
-            gap[act] = np.where(found, 0, ga)
-            act = act[fits & ~clean]
-        self.steps[r] = base + used
-        self.passes[r] += -(-used // M)  # ceil
-        return converged
+                    self.steps[rows[fa]] = base[fa] + last[fa]
+                    self._after_flips(rows[fa], ks)
+            t[act] = ta
+            act = act[ta < np.minimum(last[act] + M, ca)]
+        used = np.minimum(last + M, cap)
+        self.steps[rows] = base + used
+        self.passes[rows] += -(-used // M)  # ceil
+        return last + M <= cap
 
 
 def _ascend(st, rows):

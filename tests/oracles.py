@@ -5,6 +5,7 @@ every step, exhaustive enumeration.  None of it shares code with the
 package's sparse/incremental paths it is used to verify.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,3 +141,51 @@ def naive_sequential_las(y, Hd, A, b0, max_passes=100, n_prime=0,
             break
     return NaiveRun(b.astype(np.int8), converged, steps + seq, flips,
                     additions, passes + -(-seq // M))
+
+
+_HERME_X, _HERME_W = np.polynomial.hermite_e.hermegauss(200)
+# E[f(Z)] = sum(w * f(x)) for Z ~ N(0, 1)
+_HERME_W = _HERME_W / np.sqrt(2 * np.pi)
+
+
+def binary_mmse(s):
+    """mmse(s) = 1 - E[tanh(s + sqrt(s) Z)]: a +/-1 input seen at SNR s."""
+    s = np.asarray(s, dtype=float)[..., None]
+    return 1.0 - np.tanh(s + np.sqrt(s) * _HERME_X) @ _HERME_W
+
+
+def binary_mutual_info(s):
+    """I(s) = s - E[ln cosh(s + sqrt(s) Z)] in nats."""
+    s = np.asarray(s, dtype=float)[..., None]
+    u = np.abs(s + np.sqrt(s) * _HERME_X)
+    return s[..., 0] - (u + np.log1p(np.exp(-2 * u)) - np.log(2)) @ _HERME_W
+
+
+def replica_optimum(alpha, snr_db):
+    """Tanaka's replica fixed point for the individually optimal detector:
+    binary inputs, dense spreading, load alpha, M -> infinity (Tanaka, IEEE
+    Trans. IT 2002).  Every root of eta = 1/(1 + alpha snr mmse(eta snr))
+    in [1/(1 + alpha snr), 1] is bracketed on a 4000-point grid and
+    bisected; of several, the one that minimizes alpha I(eta snr) + (eta -
+    1 - ln eta)/2 is the solution (Guo and Verdu, IEEE Trans. IT 2005).
+    Sparse spreading at finite L has a curve of its own.  Returns (eta,
+    BER, all roots), BER = Q(sqrt(eta snr)); expectations over Z ~ N(0, 1)
+    take 200 Gauss-Hermite nodes."""
+    snr = 10.0 ** (snr_db / 10.0)
+
+    def excess(eta):
+        return eta - 1.0 / (1.0 + alpha * snr * binary_mmse(eta * snr))
+
+    eta = np.linspace(1.0 / (1.0 + alpha * snr), 1.0, 4000)
+    f = excess(eta)
+    at = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+    lo, hi = eta[at], eta[at + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(excess(mid)) == np.sign(excess(lo))
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    roots = 0.5 * (lo + hi)
+    free = (alpha * binary_mutual_info(roots * snr)
+            + (roots - 1 - np.log(roots)) / 2)
+    best = float(roots[np.argmin(free)])
+    return best, 0.5 * math.erfc(math.sqrt(best * snr / 2)), roots

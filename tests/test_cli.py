@@ -141,6 +141,13 @@ _DUMPS = {
              "min_bit_errors = 0\nmax_bits = 640\nseq_sets = auto\n"
              "n_prime = 10\nmax_passes = 100\nl_list = 4,dense\n"),
 }
+# integral scientific notation is read exactly: 2**53 + 1 is no float, and
+# 2**64 - 1 is the largest seed
+_DUMPS.update({
+    f"fig3:{seed}": (["M=32", "max_bits=6.4e2", "snr_db=4,8", "l_list=4,dense",
+                      f"seed={seed}e0"],
+                     _DUMPS["fig3"][1].replace("seed = 5", f"seed = {seed}"))
+    for seed in (2 ** 53 + 1, 2 ** 64 - 1)})
 
 
 @pytest.mark.parametrize("preset", sorted(_DUMPS))
@@ -150,7 +157,7 @@ def test_config_round_trip(tmp_path, preset):
     overrides, expected = _DUMPS[preset]
     out1 = tmp_path / "direct.csv"
     dumped = tmp_path / "effective.cfg"
-    assert main([preset, "--seed", "5", "--out", str(out1),
+    assert main([preset.split(":")[0], "--set", "seed=5", "--out", str(out1),
                  "--dump-config", str(dumped), "--set", "min_bit_errors=0",
                  *(arg for kv in overrides for arg in ("--set", kv))]) == 0
     assert dumped.read_text(encoding="utf-8") == expected
@@ -191,6 +198,18 @@ def test_run_requires_config_keys(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     cfg.write_bytes(b"M = 16\nalpha = 0.8\nexperiment = \xff\n")  # not UTF-8
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    text = ("M = 16\nalpha = 0.8\nL = 4\nsnr_db = 6\ndetectors = MF\n"
+            "max_bits = 160\nmin_bit_errors = 0\n")
+    outs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        cfg.write_text(text, encoding=encoding)
+        outs.append(tmp_path / f"{encoding}.csv")
+        assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert read(outs[0]) == read(outs[1])
 
 
 def test_config_file_is_closed(tmp_path):
@@ -429,6 +448,15 @@ SMALL_FIG1 = ["--set", "bk_list=64", "--set", "l_list=4",
 
 @pytest.mark.parametrize("override, message", [
     ("bk_list=64.7", "bk_list: expected an integer, got '64.7'"),
+    # counts are read exactly, not through a float that rounds them
+    ("M=64.0000000000000001", "M: expected an integer, got "
+                              "'64.0000000000000001'"),
+    ("bk_list=64.0000000000000001", "bk_list: expected an integer, got "
+                                    "'64.0000000000000001'"),
+    ("n_prime=9223372036854775807.5", "n_prime: expected an integer, got "
+                                      "'9223372036854775807.5'"),
+    # no more digits than int() reads from a string
+    ("seed=1e4300", "seed: expected an integer, got '1e4300'"),
     ("snr_db=-inf", "snr_db = -inf gives no finite noise level"),
     ("amplitude=1", "unknown config keys: amplitude"),
     ("alpha=inf", "alpha must be > 0 and finite"),

@@ -458,6 +458,32 @@ def test_window_scan_edges_equal_the_naive_reference(M):
         assert (M - one.flip_log[-1][0]) % detect._WINDOW != 0
 
 
+@pytest.mark.parametrize("max_passes, steps, converged", [
+    (2, 200, True), (1, 100, False)])
+def test_a_clean_cycle_that_ends_at_the_budget_converges(max_passes, steps,
+                                                         converged):
+    # R = I: bit k violates iff b_k y_k < 0, so inverting bit M - 1 of the MF
+    # start makes it the only violator.  It flips at step M, and the clean
+    # cycle after it ends at step 2M: exactly the two-pass budget
+    rng = np.random.default_rng(3)
+    M = 100
+    S = helpers.orthogonal_matrix(M, 2, rng)
+    A = np.ones(M)
+    xc = crosscorrelation(S, A)
+    b = (rng.integers(0, 2, M, dtype=np.int8) * 2 - 1).astype(np.int8)
+    y = matched_filter(S, transmit(S, ChannelParams(A, 0.5), b, rng))
+    b0 = mf_detect(y)
+    b0[-1] = -b0[-1]
+    ref = oracles.naive_sequential_las(y, xc.dense_h(), A, b0,
+                                       max_passes=max_passes)
+    run = slas_detect(y, xc, A, b0, max_passes=max_passes, record_flips=True)
+    runs = las_lockstep(y[None], xc, A, b0[None], 0, max_passes)
+    assert _one_row(run) == _row(runs, 0) == _one_row(ref)
+    assert run.flip_log == [(M, (M - 1,))]
+    assert (run.steps, run.passes, run.converged) == (steps, max_passes,
+                                                      converged)
+
+
 def test_lockstep_at_large_m_equals_its_las_runs():
     # M = 4096, L = 16: a pass is 64 windows, and the next violator is
     # often many windows on; two transmissions on one H, MF and inverted
