@@ -7,7 +7,6 @@ config mappings, so `--set KEY=VALUE` overrides apply uniformly and
 """
 
 import argparse
-import decimal
 import os
 import sys
 
@@ -52,10 +51,16 @@ def _parse_config_file(path):
 
 
 def _parse_int(key, s):
-    try:  # exact: 1e6 reads as 1000000, 64.0000000000000001 is refused
+    try:
+        return int(s)
+    except ValueError:  # other spellings are read exactly: 1e6 is 1000000,
+        import decimal  # 64.0000000000000001 is refused
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    try:  # int(str)'s digit limit keeps 1e999999999 from a billion digits
         v = decimal.Decimal(s)
-        if v.is_finite() and v == v.to_integral() and v.adjusted() < 4300:
-            return int(v)  # no more digits than int(str) accepts
+        if v.is_finite() and v == v.to_integral() and (
+                not limit or v.adjusted() < limit):
+            return int(v)
     except decimal.InvalidOperation:
         pass
     raise ConfigError(f"{key}: expected an integer, got {s!r}")
