@@ -34,13 +34,15 @@ class ChannelParams:
             raise ValueError("sigma must be finite and >= 0")
 
 
-def transmit(S, params, bits, rng):
+def transmit(S, params, bits, rng, dense=None):
     """Synthesize the received chip vector r = sum_k A_k b_k s_k + noise.
 
     The signal part touches only the nonzero chips of each column.  With
     sigma == 0 no noise is drawn and the output is the exact signal.  For a
     stack S of B matrices, bits is (B, M) and rng a list of B Generators:
-    matrix b sends bits[b] with noise from rng[b], and r is (B, C).
+    matrix b sends bits[b] with noise from rng[b], and r is (B, C).  A dense
+    S is multiplied through its float matrix: dense, S.dense_matrix() where
+    the caller holds it, or one built here.
     """
     bits = np.asarray(bits)
     if bits.shape != S.chips.shape[:-1]:
@@ -54,8 +56,9 @@ def transmit(S, params, bits, rng):
     shape = bits.shape[:-1] + (C,)
     x = params.amplitudes * bits
     if S.is_dense:  # one BLAS product per matrix
-        r = np.stack([Sd @ xb for Sd, xb in zip(
-            S.dense_matrix.reshape(-1, C, M), x.reshape(-1, M))]).reshape(shape)
+        Sd = S.dense_matrix() if dense is None else dense
+        r = np.stack([Sb @ xb for Sb, xb in zip(
+            Sd.reshape(-1, C, M), x.reshape(-1, M))]).reshape(shape)
     else:
         r = np.bincount(
             S.stacked_chips,
@@ -69,17 +72,17 @@ def transmit(S, params, bits, rng):
     return r
 
 
-def matched_filter(S, r):
+def matched_filter(S, r, dense=None):
     """Correlator bank output y = S^T r, one statistic per bit (per matrix
-    of a stack, r being (B, C))."""
+    of a stack, r being (B, C)); dense as in transmit."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != S.chips.shape[:-2] + (S.n_chips,):
         raise ValueError("received vector length must equal the chip count")
     if S.is_dense:
         C, M = S.n_chips, S.n_bits
-        return np.stack([Sd.T @ rb for Sd, rb in zip(
-            S.dense_matrix.reshape(-1, C, M),
-            r.reshape(-1, C))]).reshape(S.chips.shape[:-1])
+        Sd = S.dense_matrix() if dense is None else dense
+        return np.stack([Sb.T @ rb for Sb, rb in zip(
+            Sd.reshape(-1, C, M), r.reshape(-1, C))]).reshape(S.chips.shape[:-1])
     rc = r.ravel()[S.stacked_chips].reshape(S.chips.shape)
     return (S.signs * rc).sum(axis=-1) * S.chip_amplitude
 

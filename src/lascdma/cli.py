@@ -258,7 +258,7 @@ def _st_crosscorr_dense(rng):
         L = int(rng.integers(1, min(C, 8) + 1))
         S = seqgen.gen_sparse_matrix(C, M, L, rng)
         xc = seqgen.crosscorrelation(S, np.full(M, 1.0))
-        Sd = S.dense_matrix
+        Sd = S.dense_matrix()
         if np.max(np.abs(xc.dense_h() - Sd.T @ Sd)) > 1e-12:  # A = 1: H = R
             return f"instance {i}: sparse R deviates from the dense product"
     return None
@@ -309,7 +309,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="CSV output path (default <command>.csv)")
-    common.add_argument("--seed", type=int, help="override the experiment seed")
+    common.add_argument("--seed", help="override the experiment seed")
     common.add_argument("--workers", type=int, default=1,
                         help="parallel trial workers, at most one per usable core "
                              "(output is identical for any N)")
@@ -324,7 +324,7 @@ def _build_parser():
     for name in _PRESETS:
         sub.add_parser(name, parents=[common], help=f"run the {name} preset")
     p_self = sub.add_parser("selftest", help="run the invariant suites")
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--seed", default="0")
     return parser
 
 
@@ -333,9 +333,10 @@ def main(argv=None):
     out = sys.stdout
     try:
         if args.command == "selftest":
-            if not 0 <= args.seed < 2 ** 64:  # as ExperimentConfig.validate
+            seed = _parse_int("seed", args.seed)  # as a config's seed
+            if not 0 <= seed < 2 ** 64:  # as ExperimentConfig.validate
                 raise ConfigError("seed must be a 64-bit unsigned integer")
-            return 0 if _selftest(args.seed, out) else 1
+            return 0 if _selftest(seed, out) else 1
 
         if args.command == "run":
             mapping = _parse_config_file(args.config)
@@ -346,8 +347,8 @@ def main(argv=None):
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
-        if args.seed is not None:
-            mapping["seed"] = str(args.seed)
+        if args.seed is not None:  # parsed with the mapping, as --set's
+            mapping["seed"] = args.seed
 
         config, bk_list, l_list = _config_from_mapping(mapping)
         out_path = args.out or f"{args.command}.csv"

@@ -31,9 +31,7 @@ from .detect import (
     mf_detect,
     MAX_EXHAUSTIVE_BITS,
 )
-from .seqgen import (
-    SequenceMatrix, _usable_cores, crosscorrelation, gen_sparse_matrix,
-)
+from .seqgen import _usable_cores, crosscorrelation, gen_sparse_matrix
 
 DETECTOR_ORDER = ("MF", "SLAS", "WSLAS", "GML")
 LML_DETECTORS = ("SLAS", "WSLAS")
@@ -300,13 +298,16 @@ def _build(ctx, items):
     rngs = [_trial_rng(ctx, s, t) for s, t in items]
     S = None if ctx.sets else gen_sparse_matrix(ctx.C, ctx.M, ctx.L, rngs)
     b = np.stack([g.integers(0, 2, ctx.M, dtype=np.int8) for g in rngs]) * 2 - 1
-    if S is not None:
-        y = matched_filter(S, transmit(S, ctx.params, b, rngs))
-        return b, y, crosscorrelation(S, ctx.amplitudes), np.arange(len(b))
-    block = np.array([s for s, _ in items])
-    y = np.stack([
-        matched_filter(ctx.sets[s], transmit(ctx.sets[s], ctx.params, bt, g))
-        for s, bt, g in zip(block, b, rngs)])
+    if S is not None:  # a dense group's S serves all three
+        Sd = S.dense_matrix() if S.is_dense else None
+        y = matched_filter(S, transmit(S, ctx.params, b, rngs, Sd), Sd)
+        return b, y, crosscorrelation(S, ctx.amplitudes, Sd), np.arange(len(b))
+    block, y, Sd = np.array([s for s, _ in items]), np.empty(b.shape), None
+    for t, (s, g) in enumerate(zip(block, rngs)):
+        S = ctx.sets[s]  # a dense set's S, once per run of its transmissions
+        if S.is_dense and (t == 0 or s != block[t - 1]):
+            Sd = S.dense_matrix(out=Sd)
+        y[t] = matched_filter(S, transmit(S, ctx.params, b[t], g, Sd), Sd)
     return b, y, ctx.xcorr, block
 
 
@@ -498,7 +499,7 @@ def _resolve_sets(config):
     # while per-transmission matrices, from Philox streams, take one
     S = gen_sparse_matrix(C, M, L, [_set_matrix_rng(config.seed, M, C, L, s)
                                     for s in range(n_sets)])
-    sets = [SequenceMatrix(C, M, c, g) for c, g in zip(S.chips, S.signs)]
+    sets = [S.block(s) for s in range(n_sets)]
     return n_sets, sets, crosscorrelation(S, np.ones(M))
 
 

@@ -86,11 +86,15 @@ class SequenceMatrix:
         L = self.chips.shape[-1]
         if not 1 <= L <= C:
             raise ValueError(f"need 1 <= L <= C, got L={L}, C={C}")
-        if self.chips.min() < 0 or self.chips.max() >= C:
+        # each distinct chip row once: a broadcast axis repeats one row
+        c = self.chips[tuple(slice(None) if n else slice(1)
+                             for n in self.chips.strides[:-1])]
+        if c.min() < 0 or c.max() >= C:
             raise ValueError("chip index out of range")
-        if not np.all(self.chips[..., 1:] > self.chips[..., :-1]):
+        if not np.all(c[..., 1:] > c[..., :-1]):
             raise ValueError("chip indices must be distinct and sorted per column")
-        if not np.all(np.abs(self.signs) == 1):
+        s = self.signs  # +/-1 without a temporary of its size
+        if s.min() < -1 or s.max() > 1 or np.count_nonzero(s) < s.size:
             raise ValueError("signs must be +/-1")
 
     @property
@@ -144,16 +148,25 @@ class SequenceMatrix:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return indptr, cols, signs
 
-    @cached_property
-    def dense_matrix(self):
+    def block(self, b):
+        """Matrix b of the stack, as views, not checked again."""
+        S = object.__new__(SequenceMatrix)  # no __post_init__, no caches
+        S.n_chips, S.n_bits = self.n_chips, self.n_bits
+        S.chips, S.signs = (a.reshape((-1,) + a.shape[-2:])[b]
+                            for a in (self.chips, self.signs))
+        return S
+
+    def dense_matrix(self, out=None):
         """The (C, M) dense float matrix, (B, C, M) for a stack; columns are
-        unit-norm sequences."""
+        unit-norm sequences.  Built by each call, into out if given (a
+        C-contiguous float array of its size); the matrix caches none."""
         B, C, M, L = self.n_blocks, self.n_chips, self.n_bits, self.n_nonzero
-        S = np.zeros((B, C, M))
+        S = np.empty((B, C, M)) if out is None else out.reshape(B, C, M)
         if self.is_dense:  # chips[k] is 0..C-1: a transpose, 8x the scatter
             np.multiply(np.swapaxes(self.signs.reshape(B, M, C), 1, 2),
                         self.chip_amplitude, out=S)
         else:
+            S.fill(0.0)
             S[np.arange(B)[:, None, None], self.chips.reshape(B, M, L),
               np.arange(M)[:, None]] = (self.signs.reshape(B, M, L)
                                         * self.chip_amplitude)
@@ -464,16 +477,20 @@ def gen_sparse_matrix(n_chips, n_bits, n_nonzero, rng):
             for g in rngs:  # on to the signs, past the set's M x C doubles
                 g.bit_generator.advance(M * C)
         chips.sort(axis=-1)
-    signs = np.stack([g.integers(0, 2, size=(M, L), dtype=np.int8)
-                      for g in rngs]) * 2 - 1
+    signs = np.empty((len(rngs), M, L), dtype=np.int8)
+    for g, s in zip(rngs, signs):  # 0/1 draws, made +/-1 in place
+        s[...] = g.integers(0, 2, size=(M, L), dtype=np.int8)
+    signs *= 2
+    signs -= 1
     if single:
         chips, signs = chips[0], signs[0]
     return SequenceMatrix(C, M, chips, signs)
 
 
-def crosscorrelation(S, amplitudes):
+def crosscorrelation(S, amplitudes, dense=None):
     """Build H = A R A, with R = S^T S, as a sparse symmetric structure: one
-    block per matrix of the stack S, all with the same amplitudes.
+    block per matrix of the stack S, all with the same amplitudes.  dense is
+    S.dense_matrix() where the caller holds it.
 
     Each R entry is the integer sign sum n over the divisor L, by the chip
     index route (work sum_c occupancy(c)^2, in chunks of rows, into one
@@ -497,10 +514,12 @@ def crosscorrelation(S, amplitudes):
 
     B, C, M, L = S.n_blocks, S.n_chips, S.n_bits, S.n_nonzero
     if 2 * L > C:
-        # every pair overlaps: full structure, dense product for the values
-        Sd = S.dense_matrix.reshape(B, C, M)
-        vals = np.empty((B, M, M))
-        for Sb, Rb in zip(Sd, vals):
+        # every pair overlaps: full structure, dense product for the values,
+        # of the caller's dense S or of each block's built in one buffer
+        vals, Sb = np.empty((B, M, M)), None
+        for b, Rb in enumerate(vals):
+            Sb = (S.block(b).dense_matrix(out=Sb) if dense is None
+                  else dense.reshape(B, C, M)[b])
             np.matmul(Sb.T, Sb, out=Rb)  # numpy returns S^T S exactly symmetric
         r_diag = vals[:, np.arange(M), np.arange(M)].ravel()
         vals = vals.reshape(B * M, M)

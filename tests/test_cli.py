@@ -78,6 +78,23 @@ def test_selftest_seed_out_of_range_exits_2(capsys):
                 in capsys.readouterr().err)
 
 
+def test_seed_option_takes_the_spellings_of_a_config_seed(tmp_path, capsys):
+    # --seed is read as --set seed= is: 1e6 is seed 1000000, 1.5 is refused
+    small = ["--set", "M=32", "--set", "min_bit_errors=0", "--set",
+             "max_bits=640", "--set", "snr_db=8", "--set", "l_list=4"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["fig3", "--seed", "1e6", "--out", str(a), *small]) == 0
+    assert main(["fig3", "--set", "seed=1e6", "--out", str(b), *small]) == 0
+    assert read(a) == read(b) and b"fig3[seed=1000000]" in read(a)
+    assert main(["selftest", "--seed", "1e0"]) == 0
+    capsys.readouterr()
+    for command in (["fig3", "--out", str(a), *small], ["selftest"]):
+        for seed in ("1.5", "x"):
+            assert main([*command, "--seed", seed]) == 2
+            assert (f"config error: seed: expected an integer, got {seed!r}"
+                    in capsys.readouterr().err)
+
+
 def _env_with_src():
     """The environment with this package's src first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])

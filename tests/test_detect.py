@@ -1020,7 +1020,7 @@ def test_every_reader_of_a_ragged_table_equals_the_dense_oracle(
                                            for t in range(6)])
     for S, xc in ((S, stack), (group, crosscorrelation(group, 1.0))):
         M, B = xc.n_bits, xc.n_blocks
-        Sd = S.dense_matrix.reshape(B, -1, M)
+        Sd = S.dense_matrix().reshape(B, -1, M)
         Hd = np.concatenate([s.T @ s for s in Sd])
         shared = np.concatenate([(s != 0).T @ (s != 0) for s in Sd])
         width = np.diff(xc.indptr)

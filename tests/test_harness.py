@@ -5,6 +5,7 @@ import io
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -182,10 +183,10 @@ def test_pool_workers_fork_with_one_blas_thread(monkeypatch):
         unchanged_threads()
         return run_trials(ctx, items)
 
-    def in_parent(S, A):  # the fixed sets' dense S^T S, after the fork
+    def in_parent(S, A, *dense):  # the fixed sets' dense S^T S, after the fork
         unchanged_threads()
         alive.append(len(multiprocessing.active_children()))
-        return correlate(S, A)
+        return correlate(S, A, *dense)
 
     monkeypatch.setattr(harness, "_run_trials", in_either)
     monkeypatch.setattr(harness, "crosscorrelation", in_parent)
@@ -637,6 +638,94 @@ def test_group_build_equals_per_trial_build(M, L):
         for u, v in zip((*helpers.csr(xc.block(t)), xc.block(t).diag),
                         (*helpers.csr(alone), alone.diag)):
             assert np.array_equal(u, v)
+
+
+def _counted_dense_builds(monkeypatch):
+    """Count SequenceMatrix.dense_matrix calls: a list of their matrices'
+    block counts, filled as they run."""
+    builds, dense = [], seqgen.SequenceMatrix.dense_matrix
+
+    def counted(S, out=None):
+        builds.append(S.n_blocks)
+        return dense(S, out)
+    monkeypatch.setattr(seqgen.SequenceMatrix, "dense_matrix", counted)
+    return builds
+
+
+def test_dense_fixed_sets_equal_their_stack_products(monkeypatch):
+    # five dense fixed sets: H, and the matched-filter outputs of
+    # transmissions in runs of one set, against products of the stack's
+    # dense S.  S^T S is built from one set's S at a time, and a run's
+    # transmissions share one build of their set's S
+    M, C, seed = 256, 320, 4
+    builds = _counted_dense_builds(monkeypatch)
+    n_sets, sets, xc = harness._resolve_sets(
+        ExperimentConfig(M=M, alpha=0.8, L="dense", seed=seed))
+    assert builds == [1] * n_sets
+    Sd = seqgen.gen_sparse_matrix(C, M, C, [
+        harness._set_matrix_rng(seed, M, C, C, s)
+        for s in range(n_sets)]).dense_matrix()
+    assert np.array_equal(xc.vals, np.concatenate([s.T @ s for s in Sd]))
+    A = np.ones(M)
+    ctx = harness._PointCtx(
+        M=M, C=C, L=C, snr_db=6.0, detectors=("MF",), amplitudes=A,
+        params=harness.ChannelParams(A, harness.snr_to_sigma(6.0)),
+        n_prime=10, max_passes=100, sets=sets, xcorr=xc,
+        trial_keys=tuple(harness._trial_key(seed, M, C, C, 6.0, s)
+                         for s in range(n_sets)))
+    items = [(0, 0), (0, 1), (1, 0), (3, 2), (3, 3), (4, 0), (0, 2)]
+    builds.clear()
+    b, y, _, block = harness._build(ctx, items)
+    assert builds == [1] * 5  # the runs of sets 0, 1, 3, 4 and 0
+    assert block.tolist() == [s for s, _ in items]
+    for t, (s, trial) in enumerate(items):
+        g = harness._trial_rng(ctx, s, trial)
+        bits = g.integers(0, 2, M, dtype=np.int8) * 2 - 1
+        r = Sd[s] @ (A * bits) + g.normal(0.0, ctx.params.sigma, C)
+        assert np.array_equal(b[t], bits)
+        assert np.array_equal(y[t], Sd[s].T @ r)
+
+
+def test_dense_fixed_sets_in_groups_that_span_sets(monkeypatch):
+    # five dense fixed sets at M = 256 over two SNR points, in lockstep
+    # groups of 7 trials (512 entries each): a batch of 6 trials per set is
+    # 5 groups, 4 of which span two sets, each group building one S per run
+    # of a set.  The same bytes with 2 workers as with one
+    config = small_config(M=256, L="dense", snr_db=[6.0, 8.0],
+                          detectors=("MF", "SLAS", "WSLAS"),
+                          max_bits=256 * 5 * 6)
+    monkeypatch.setattr(harness, "_LOCKSTEP_ENTRIES", 7 * 2 * 256)
+    groups, run_trials = [], harness._run_trials
+    monkeypatch.setattr(harness, "_run_trials", lambda ctx, items: (
+        groups.append([s for s, _ in items]) or run_trials(ctx, items)))
+    builds = _counted_dense_builds(monkeypatch)
+    alone = csv_bytes(run_experiment(config))
+    runs = [len(set(g)) for g in groups]
+    assert [len(g) for g in groups] == [7, 7, 7, 7, 2] * 2
+    assert runs == [2, 2, 2, 2, 1] * 2
+    assert builds == [1] * (5 + sum(runs))  # S^T S, then the groups' runs
+    helpers.usable_cores(monkeypatch, 2)
+    assert csv_bytes(run_experiment(config, workers=2)) == alone
+
+
+def test_dense_fixed_point_holds_one_float_matrix():
+    # tracemalloc peak of a dense five-set point at M = 1024, C = 1280: its
+    # set-up and a batch of one trial per set hold H (40 MiB), the sets'
+    # int8 signs (6.25 MiB) and one set's float S (10 MiB) at a time: 57
+    # MiB.  With the stack's S built for S^T S and each set's S kept for its
+    # transmissions, the peak was 98.5 MiB
+    config = ExperimentConfig(M=1024, alpha=0.8, L="dense", snr_db=11.0,
+                              detectors=("MF", "SLAS", "WSLAS"), seed=1,
+                              min_bit_errors=0, max_bits=1024 * 5)
+    B, C, M = 5, config.C, config.M
+    tracemalloc.start()
+    try:
+        rows = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].bits == B * M
+    assert peak < B * M * M * 8 + B * M * C + 1.5 * C * M * 8
 
 
 def test_only_fixed_sets_are_drawn_on_threads(monkeypatch):

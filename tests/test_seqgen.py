@@ -27,7 +27,7 @@ def rng_for(seed):
 def test_dense_column_is_ordinary_random_spreading():
     # C == L: every chip carries +/- 1/sqrt(C)
     S = gen_sparse_matrix(8, 1, 8, rng_for(0))
-    col = S.dense_matrix[:, 0]
+    col = S.dense_matrix()[:, 0]
     assert np.all(np.abs(col) == pytest.approx(1 / math.sqrt(8), abs=0))
     assert abs(np.linalg.norm(col) - 1.0) < 1e-12
     assert S.is_dense
@@ -35,7 +35,7 @@ def test_dense_column_is_ordinary_random_spreading():
 
 def test_single_chip_column_has_exact_unit_norm():
     S = gen_sparse_matrix(4, 1, 1, rng_for(1))
-    col = S.dense_matrix[:, 0]
+    col = S.dense_matrix()[:, 0]
     assert np.count_nonzero(col) == 1
     assert np.linalg.norm(col) == 1.0  # 1/sqrt(1) is exact
 
@@ -45,7 +45,8 @@ def test_dense_stack_chips_stay_one_row():
     # and each set's, are views of one C-entry row, not B x M x C int32
     C, M, B = 40, 32, 3
     S = gen_sparse_matrix(C, M, C, [rng_for(s) for s in range(B)])
-    for chips in (S.chips, SequenceMatrix(C, M, S.chips[1], S.signs[1]).chips):
+    for chips in (S.chips, SequenceMatrix(C, M, S.chips[1], S.signs[1]).chips,
+                  S.block(1).chips):
         owner = chips
         while isinstance(owner.base, np.ndarray):
             owner = owner.base
@@ -317,6 +318,29 @@ def test_fixed_set_build_memory_is_bounded():
         tracemalloc.stop()
     assert gen_peak < 8 * 2 ** 20
     assert xcorr_peak < 50 * 2 ** 20
+
+
+def test_dense_stack_draw_and_checks_hold_no_stack_sized_temporaries():
+    # five dense sets at M = 1024, C = 1280 hold 6.25 MiB of int8 signs.
+    # Drawn into one array and made +/-1 in place, the draw peaks at them
+    # plus one set's 0/1 draw (7.5 MiB), where the stacked draws' arithmetic
+    # peaked at 18.8 MiB; checking the stack, or a set's views, takes about
+    # 3 KiB, where the broadcast chip comparison and |signs| took 12.5 MiB
+    B, M, C = 5, 1024, 1280
+    rngs = [rng_for(b) for b in range(B)]
+    tracemalloc.start()
+    try:
+        S = gen_sparse_matrix(C, M, C, rngs)
+        gen_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        SequenceMatrix(C, M, S.chips, S.signs)
+        SequenceMatrix(C, M, S.chips[1], S.signs[1])
+        check_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert gen_peak < (B + 1.5) * M * C
+    assert check_peak < 16 * C
 
 
 def test_chip_index_route_with_int64_keys():
@@ -730,4 +754,32 @@ def test_sequence_matrix_validation():
     with pytest.raises(ValueError):
         SequenceMatrix(4, 1, chips=np.array([[1, 0]], dtype=np.int32),
                        signs=np.array([[1, 1]], dtype=np.int8))  # unsorted
+    # each refusal also on a stack whose first rows are good, and on a dense
+    # stack's broadcast chips
+    chips = np.tile(np.arange(3, dtype=np.int32), (2, 4, 1))
+    signs = np.ones((2, 4, 3), dtype=np.int8)
+    dense = np.broadcast_to(np.arange(3, dtype=np.int32), (2, 4, 3))
+    SequenceMatrix(3, 4, chips, signs)
+    SequenceMatrix(3, 4, dense, -signs)
+    for at, bad in ((1, 0), (2, 1), (0, 2), (0, -1), (2, 3)):
+        c = chips.copy()
+        c[1, 3, at] = bad  # the last row: 0 0 2, 0 1 1, 2 1 2, -1 1 2, 0 1 3
+        with pytest.raises(ValueError, match="chip ind"):
+            SequenceMatrix(3, 4, c, signs)
+    for bad in (0, 2, -2, 127, -128):
+        s = signs.copy()
+        s[1, 3, 2] = bad
+        for c in (chips, dense):
+            with pytest.raises(ValueError, match="signs must be"):
+                SequenceMatrix(3, 4, c, s)
+    for row in ([0, 1, 3], [0, 2, 1]):
+        with pytest.raises(ValueError, match="chip ind"):
+            SequenceMatrix(3, 4, np.broadcast_to(np.int32(row), (2, 4, 3)),
+                           signs)
+    S = SequenceMatrix(3, 4, dense, signs)
+    for b in range(2):  # a stack's matrices, as views
+        view = S.block(b)
+        assert view.chips.base is not None and view.signs.base is not None
+        assert (view.n_chips, view.n_bits, view.n_blocks) == (3, 4, 1)
+        assert np.array_equal(view.dense_matrix(), S.dense_matrix()[b])
 
